@@ -168,6 +168,24 @@ fn watchdog_fires_deadline_on_spin_livelock() {
 }
 
 #[test]
+fn watchdog_fires_deadline_on_a_work_only_loop() {
+    // Thread 0 never reaches a scheduling point: it only accounts local
+    // computation, so the deadline must be noticed inside `work` itself.
+    let mut b = ProgramBuilder::new(2);
+    b.thread(move |ctx| loop {
+        ctx.work(1);
+    });
+    b.thread(move |ctx| {
+        ctx.work(10);
+    });
+    let cfg = RunConfig::random(1)
+        .with_max_steps(u64::MAX / 2)
+        .with_deadline(Duration::from_millis(100));
+    let err = b.build().run(&cfg).unwrap_err();
+    assert_eq!(err, SimError::Deadline { limit_ms: 100 });
+}
+
+#[test]
 fn generous_deadline_does_not_disturb_a_healthy_run() {
     let clean = locked_adders().run(&RunConfig::random(7)).unwrap();
     let watched = locked_adders()
