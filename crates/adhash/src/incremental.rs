@@ -168,20 +168,15 @@ where
     H: LocationHasher,
     I: IntoIterator<Item = (u64, u64)>,
 {
-    let mut iter = locations.into_iter();
+    // Internal iteration: chained and flattened traversals (globals then
+    // heap blocks) fold without re-checking adapter state per location.
     let mut lanes = [HashSum::ZERO; 4];
-    loop {
-        // One chunk of four; partial trailing chunks fall out of the
-        // loop with the lanes they filled.
-        for lane in &mut lanes {
-            match iter.next() {
-                Some((addr, value)) => *lane = lane.combine(hasher.hash_location(addr, value)),
-                None => {
-                    return lanes.into_iter().sum();
-                }
-            }
-        }
-    }
+    let mut lane = 0;
+    locations.into_iter().for_each(|(addr, value)| {
+        lanes[lane] = lanes[lane].combine(hasher.hash_location(addr, value));
+        lane = (lane + 1) % 4;
+    });
+    lanes.into_iter().sum()
 }
 
 #[cfg(test)]

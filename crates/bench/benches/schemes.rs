@@ -36,9 +36,9 @@ fn main() {
         let mut pb = tsim::ProgramBuilder::new(4);
         let bar = pb.barrier();
         for _ in 0..4 {
-            pb.thread(move |ctx| {
+            pb.thread(move |ctx| async move {
                 for _ in 0..50 {
-                    ctx.barrier(bar);
+                    ctx.barrier(bar).await;
                 }
             });
         }

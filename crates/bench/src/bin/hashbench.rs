@@ -111,15 +111,16 @@ fn store_storm(threads: usize, words_per_thread: usize, passes: usize) -> Progra
     let slab = b.global("slab", ValKind::U64, n);
     let bar = (threads > 1).then(|| b.barrier());
     for tid in 0..threads {
-        b.thread(move |ctx| {
+        b.thread(move |ctx| async move {
             let lo = tid * words_per_thread;
             for pass in 0..passes {
                 let salt = (pass as u64) << 32 | tid as u64;
                 for i in 0..words_per_thread {
-                    ctx.store(slab.at(lo + i), salt ^ (i as u64).wrapping_mul(0x9e37));
+                    ctx.store(slab.at(lo + i), salt ^ (i as u64).wrapping_mul(0x9e37))
+                        .await;
                 }
                 if let Some(bar) = bar {
-                    ctx.barrier(bar);
+                    ctx.barrier(bar).await;
                 }
             }
         });

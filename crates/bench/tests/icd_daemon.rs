@@ -250,36 +250,41 @@ fn daemon_survives_hostile_clients_and_sigterm_drains_completely() {
         c.join().unwrap();
     }
 
-    // Poll `status` until all eight accepted campaigns completed; the
-    // daemon answered every hostile client without dying.
+    // Poll `status` until all eight accepted campaigns completed and both
+    // hostile connections were closed and counted; the daemon answered
+    // every hostile client without dying. The campaigns can finish before
+    // the torn client is even accepted, so waiting for `icd.completed`
+    // alone races the close counters.
     let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
+    let s = loop {
         let s = status(&sock);
-        if counter(&s, "icd.completed") == 8 {
-            assert_eq!(
-                s.get("draining"),
-                Some(&Value::Bool(false)),
-                "still serving while hostile clients come and go"
-            );
-            assert_eq!(
-                s.get("tenants")
-                    .and_then(|t| t.get("greedy"))
-                    .and_then(|g| g.get("shed"))
-                    .and_then(Value::as_u64),
-                Some(1)
-            );
-            assert!(counter(&s, "icd.bad_lines") >= 4);
-            assert_eq!(counter(&s, "icd.conn.closed.kicked"), 1);
-            assert_eq!(counter(&s, "icd.conn.closed.partial"), 1);
-            break;
+        let completed = counter(&s, "icd.completed");
+        let kicked = counter(&s, "icd.conn.closed.kicked");
+        let partial = counter(&s, "icd.conn.closed.partial");
+        if completed == 8 && kicked >= 1 && partial >= 1 {
+            break s;
         }
         assert!(
             Instant::now() < deadline,
-            "campaigns never completed: {}",
-            s.get("counters").map(|_| "").unwrap_or("no counters")
+            "not reached in 120 s: completed={completed} kicked={kicked} partial={partial}"
         );
         std::thread::sleep(Duration::from_millis(50));
-    }
+    };
+    assert_eq!(
+        s.get("draining"),
+        Some(&Value::Bool(false)),
+        "still serving while hostile clients come and go"
+    );
+    assert_eq!(
+        s.get("tenants")
+            .and_then(|t| t.get("greedy"))
+            .and_then(|g| g.get("shed"))
+            .and_then(Value::as_u64),
+        Some(1)
+    );
+    assert!(counter(&s, "icd.bad_lines") >= 4);
+    assert_eq!(counter(&s, "icd.conn.closed.kicked"), 1);
+    assert_eq!(counter(&s, "icd.conn.closed.partial"), 1);
 
     // SIGTERM mid-service: a complete drain, artifacts on disk, socket
     // gone. Exit code 1 records the (expected) sheds and bad lines.

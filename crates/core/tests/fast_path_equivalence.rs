@@ -66,46 +66,47 @@ fn program() -> Program {
         }
     });
     for t in 0..NTHREADS {
-        b.thread(move |ctx| {
+        b.thread(move |ctx| async move {
             let tid = t as u64;
             // Integer store sweep over a striped range, with a shared
             // atomic bump and a barrier per step.
             for step in 0..4u64 {
                 for i in 0..32 {
                     if i % NTHREADS == t {
-                        let v = ctx.load(grid.at(i));
+                        let v = ctx.load(grid.at(i)).await;
                         let v = v.wrapping_mul(6364136223846793005).wrapping_add(tid + step);
-                        ctx.store(grid.at(i), v);
+                        ctx.store(grid.at(i), v).await;
                     }
                 }
-                ctx.fetch_add(counter.at(0), 1);
-                ctx.barrier(bar);
+                ctx.fetch_add(counter.at(0), 1).await;
+                ctx.barrier(bar).await;
             }
             // FP stores with sub-rounding noise: both paths must agree
             // whether or not rounding is configured.
             for i in 0..8 {
                 if i % NTHREADS == t {
-                    let v = ctx.load_f64(field.at(i));
-                    ctx.store_f64(field.at(i), v + 0.1 + tid as f64 * 1e-12);
+                    let v = ctx.load_f64(field.at(i)).await;
+                    ctx.store_f64(field.at(i), v + 0.1 + tid as f64 * 1e-12)
+                        .await;
                 }
             }
-            ctx.barrier(bar);
+            ctx.barrier(bar).await;
             // Heap churn: the freed block's contribution must cancel
             // out of the running hash identically on both paths.
-            let buf = ctx.malloc("scratch", TypeTag::u64s(), 6 + t);
+            let buf = ctx.malloc("scratch", TypeTag::u64s(), 6 + t).await;
             for i in 0..(6 + t) as u64 {
-                ctx.store(buf.offset(i), tid * 100 + i);
+                ctx.store(buf.offset(i), tid * 100 + i).await;
             }
-            ctx.work(5);
-            ctx.free(buf);
+            ctx.work(5).await;
+            ctx.free(buf).await;
             // Locked update plus output bytes.
-            ctx.lock(lock);
-            let v = ctx.load(counter.at(0));
-            ctx.store(counter.at(0), v + 1);
-            ctx.unlock(lock);
-            ctx.write_output(&[b'0' + t as u8]);
-            ctx.barrier(bar);
-            ctx.checkpoint("done");
+            ctx.lock(lock).await;
+            let v = ctx.load(counter.at(0)).await;
+            ctx.store(counter.at(0), v + 1).await;
+            ctx.unlock(lock).await;
+            ctx.write_output(&[b'0' + t as u8]).await;
+            ctx.barrier(bar).await;
+            ctx.checkpoint("done").await;
         });
     }
     b.build()

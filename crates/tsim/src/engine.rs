@@ -1,31 +1,39 @@
-//! The execution engine: serialized cooperative scheduling of simulated
-//! threads over the shared machine state.
+//! The execution engine: a cooperative executor that runs every simulated
+//! thread of a run on the caller's OS thread.
 //!
-//! Each simulated thread is an OS thread, but exactly one of them owns the
-//! *token* (`Central::active`) at any time, so execution is serialized and
-//! fully determined by the scheduler's decisions. Threads hand the token
-//! over at scheduling points (synchronization operations, and data
-//! accesses when the [`SwitchPolicy`](crate::SwitchPolicy) says so).
+//! Each simulated thread is an `async` body over a [`ThreadCtx`]. Every
+//! instrumented operation applies its effect to the machine state
+//! ([`Central`]) at once and returns a future. At a *scheduling point*
+//! (synchronization operations, and data accesses when the
+//! [`SwitchPolicy`](crate::SwitchPolicy) says so) the operation asks the
+//! scheduler for the next thread. If the pick is the caller, the future
+//! is ready at once and the thread runs on; otherwise it returns
+//! `Pending` once, which unwinds the body's future back to [`run`].
 //!
-//! # Ownership transfer
+//! [`run`] is the whole executor: it polls the picked thread's boxed
+//! future with a no-op waker, catches a panic per poll, and repeats until
+//! every thread finished or the run failed. Nothing is ever woken: the
+//! scheduler's pick *is* the wake-up, so the scheduler and not the OS
+//! decides every interleaving, and a thread switch costs one `poll`.
 //!
-//! The machine state ([`Central`]) lives in a `Mutex<Option<Box<Central>>>`
-//! only *between* turns. When a thread is granted the token it moves the
-//! box out of the mutex into its own [`ThreadCtx`]; every data access then
-//! runs directly on the owned state with no lock or atomic traffic beyond
-//! one relaxed load of the abort flag. The box goes back into the mutex
-//! only at a scheduling point whose pick lands on a *different* thread —
-//! so a phase in which one thread holds the token (and in particular any
-//! single-threaded run) executes its entire access stream without touching
-//! the mutex or a condvar at all. This is what makes the store hot path
-//! allocation- and lock-free.
+//! # Ownership
+//!
+//! The machine state lives in one `Rc<RefCell<Central>>` shared by the
+//! executor and the run's [`ThreadCtx`] handles. An operation borrows it
+//! for its synchronous part only and never across an `.await`, so at most
+//! one borrow is live at any time. A failing operation records its
+//! [`SimError`] and stays pending for good; the executor sees the error
+//! after the poll returns and drops every thread's future.
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
 use adhash::{hash_delta_run, DeltaBatch, FpRound, HashSum, Mix64Hasher};
@@ -52,27 +60,8 @@ const COST_LIB: u64 = 5;
 
 /// Even under `SwitchPolicy::SyncOnly`, force a scheduling point every
 /// this many consecutive data accesses by one thread, so spin loops over
-/// plain loads cannot monopolize the token forever.
+/// plain loads cannot keep the turn forever.
 const FORCED_PREEMPT_EVERY: u64 = 4096;
-
-/// Panic payload used to silently unwind simulated threads when the run
-/// aborts (deadlock, step limit, machine misuse).
-struct SimAbort;
-
-/// Installs (once per process) a panic hook that suppresses the default
-/// message for [`SimAbort`] unwinds while delegating everything else.
-fn install_quiet_abort_hook() {
-    static HOOK: OnceLock<()> = OnceLock::new();
-    HOOK.get_or_init(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            if info.payload().is::<SimAbort>() {
-                return;
-            }
-            prev(info);
-        }));
-    });
-}
 
 /// Object-safe wrapper that lets the engine hold any monitor type and
 /// still return the concrete value to the caller.
@@ -209,7 +198,7 @@ impl HotState {
     }
 }
 
-/// All mutable machine state, protected by one mutex.
+/// All mutable machine state of one run.
 struct Central {
     mem: Memory,
     globals: Vec<GlobalDecl>,
@@ -219,6 +208,7 @@ struct Central {
     sems: Vec<SemState>,
     barriers: Vec<BarrierState>,
     threads: Vec<ThreadSlot>,
+    /// The thread the scheduler picked last: the one the executor polls.
     active: Option<ThreadId>,
     scheduler: Box<dyn Scheduler + Send>,
     switch: SwitchPolicy,
@@ -245,6 +235,37 @@ struct Central {
     /// Reusable runnable-set buffer for scheduling points (no per-point
     /// allocation).
     sched_scratch: Vec<ThreadId>,
+}
+
+/// What the calling thread does after an operation: the future every
+/// [`ThreadCtx`] operation ends by awaiting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Turn {
+    /// The caller keeps the turn: ready at once.
+    Continue,
+    /// The scheduler picked another thread: pending once, and ready when
+    /// the executor polls the caller again (it polls only the picked
+    /// thread, so that is the caller's next turn).
+    Yield,
+    /// The run failed (the error is recorded): pending for good.
+    Stop,
+}
+
+impl Future for Turn {
+    type Output = ();
+
+    #[inline]
+    fn poll(self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        let turn = self.get_mut();
+        match *turn {
+            Turn::Continue => Poll::Ready(()),
+            Turn::Yield => {
+                *turn = Turn::Continue;
+                Poll::Pending
+            }
+            Turn::Stop => Poll::Pending,
+        }
+    }
 }
 
 impl Central {
@@ -347,50 +368,472 @@ impl Central {
             parts.join("; ")
         }
     }
-}
 
-struct Shared {
-    /// The machine-state cell: `Some` while the state is parked between
-    /// turns, `None` while the running thread owns it (see the module
-    /// docs on ownership transfer).
-    mu: Mutex<Option<Box<Central>>>,
-    /// One condvar per simulated thread: a thread only ever waits on its
-    /// own, so handing the token over wakes exactly the picked thread
-    /// instead of stampeding every waiter (and the coordinator) through
-    /// a futex herd at every scheduling point.
-    cvs: Vec<Condvar>,
-    /// The run coordinator's condvar: signalled on completion and errors,
-    /// never on routine token handoffs.
-    coord: Condvar,
-    /// Set by the coordinator when the deadline fires while a thread owns
-    /// the machine state: that thread cannot be reached through the cell,
-    /// so it polls this flag (one relaxed load) on every instrumented
-    /// call and aborts at the next one.
-    abort: AtomicBool,
-}
-
-impl Shared {
-    /// Wakes every waiter — error paths only.
-    fn wake_all(&self) {
-        for cv in &self.cvs {
-            cv.notify_all();
+    /// Records `err` (unless the run already failed) and stops the
+    /// calling thread.
+    #[cold]
+    fn fail(&mut self, err: SimError) -> Turn {
+        if self.error.is_none() {
+            self.error = Some(err);
         }
-        self.coord.notify_all();
+        Turn::Stop
+    }
+
+    /// The wall-clock watchdog: `true` once the run's deadline passed.
+    #[inline]
+    fn deadline_passed(&self) -> bool {
+        self.deadline_at.is_some_and(|at| Instant::now() >= at)
+    }
+
+    /// A scheduling point: record the caller's new state and let the
+    /// scheduler pick who runs next. `avoid_self` is the forced-preemption
+    /// backstop (see [`schedule_next_core`]).
+    fn sched_point(&mut self, tid: ThreadId, new_state: TState, avoid_self: bool) -> Turn {
+        self.step += 1;
+        if self.step > self.max_steps {
+            return self.fail(SimError::StepLimit {
+                limit: self.max_steps,
+            });
+        }
+        // Every scheduling point checks the wall clock, so even a spin
+        // livelock over plain loads (which reaches here via the
+        // forced-preemption backstop) is caught without waiting for the
+        // much larger step limit.
+        if self.deadline_passed() {
+            return self.fail(SimError::Deadline {
+                limit_ms: self.deadline_ms,
+            });
+        }
+        self.threads[tid].state = new_state;
+        self.active = None;
+        match schedule_next_core(self, avoid_self.then_some(tid)) {
+            Some(next) if next == tid => Turn::Continue,
+            Some(_) => Turn::Yield,
+            // No runnable thread: the core recorded a deadlock (the
+            // caller is not finished).
+            None => Turn::Stop,
+        }
+    }
+
+    /// Counts one data access and inserts the scheduling point the
+    /// switch policy (or the forced-preemption backstop) asks for.
+    #[inline]
+    fn access_point(&mut self, tid: ThreadId) -> Turn {
+        let slot = &mut self.threads[tid];
+        slot.access_count += 1;
+        let count = slot.access_count;
+        if count.is_multiple_of(FORCED_PREEMPT_EVERY) {
+            self.sched_point(tid, TState::Ready, true)
+        } else if self.switch.preempt_on_access(count) {
+            self.sched_point(tid, TState::Ready, false)
+        } else {
+            Turn::Continue
+        }
+    }
+
+    /// Hands a store to the fast path or the monitor.
+    #[inline]
+    fn observe_store(&mut self, tid: ThreadId, addr: Addr, old: u64, new: u64, kind: ValKind) {
+        match &mut self.hot {
+            Some(hot) => hot.on_store(tid, addr, old, new, kind),
+            None => self
+                .monitor
+                .as_monitor()
+                .on_store(tid, addr, old, new, kind),
+        }
+    }
+
+    /// Allocates and zero-fills a block, charging the fill when
+    /// configured, and reports it to the monitor. Returns the block's
+    /// base and length in words.
+    fn alloc_block(
+        &mut self,
+        tid: ThreadId,
+        site: &'static str,
+        tag: TypeTag,
+        len: usize,
+    ) -> (Addr, usize) {
+        let base = self.alloc.alloc(tid, site, tag, len);
+        let high = self.alloc.high_water();
+        self.mem.grow_heap(high);
+        let block = self.alloc.table()[&base.0].clone();
+        for i in 0..block.len {
+            self.mem.write(base.offset(i as u64), 0);
+        }
+        if self.charge_zero_fill {
+            self.zero_fill_instr += block.len as u64;
+        }
+        self.monitor.as_monitor().on_alloc(tid, &block);
+        (base, block.len)
+    }
+
+    // ---- data accesses -------------------------------------------------
+
+    fn load(&mut self, tid: ThreadId, addr: Addr, kind: ValKind) -> (u64, Turn) {
+        self.threads[tid].instr += COST_ACCESS;
+        let Some(value) = self.mem.read(addr) else {
+            return (0, self.fail(SimError::BadAddress { tid, addr }));
+        };
+        if self.hot.is_none() {
+            // A fast-path claim covers loads too (a claiming monitor's
+            // `on_load` is a no-op), so the dispatch is skipped entirely.
+            self.monitor.as_monitor().on_load(tid, addr, value, kind);
+        }
+        self.trace_push(tid, TraceOp::Load(addr));
+        (value, self.access_point(tid))
+    }
+
+    fn store(&mut self, tid: ThreadId, addr: Addr, mut value: u64, kind: ValKind) -> Turn {
+        self.threads[tid].instr += COST_ACCESS;
+        if let Some(f) = &mut self.faults {
+            // Data corruption: the value actually written (and seen by
+            // both memory and the monitor) has one bit flipped.
+            if let Some(e) = f.fire(FaultKind::BitFlip, tid) {
+                value ^= 1 << (e % 64);
+                self.obs_fault(tid, FaultKind::BitFlip);
+            }
+        }
+        let Some(mut old) = self.mem.write(addr, value) else {
+            return self.fail(SimError::BadAddress { tid, addr });
+        };
+        if let Some(f) = &mut self.faults {
+            // The §4.1 SW-Inc hazard: the monitor's read of the old value
+            // races the store and observes a wrong (stale) word, so it
+            // subtracts the wrong term from the hash. Memory itself is
+            // untouched — only the monitor is lied to.
+            if let Some(e) = f.fire(FaultKind::StaleRead, tid) {
+                old ^= 1 << (e % 64);
+                self.obs_fault(tid, FaultKind::StaleRead);
+            }
+        }
+        self.observe_store(tid, addr, old, value, kind);
+        self.trace_push(tid, TraceOp::Store(addr));
+        self.access_point(tid)
+    }
+
+    /// Atomic read-modify-write: stores `f(old)` when it is `Some`.
+    fn rmw(
+        &mut self,
+        tid: ThreadId,
+        addr: Addr,
+        f: impl FnOnce(u64) -> Option<u64>,
+    ) -> (u64, Turn) {
+        self.threads[tid].instr += 2 * COST_ACCESS;
+        let Some(old) = self.mem.read(addr) else {
+            return (0, self.fail(SimError::BadAddress { tid, addr }));
+        };
+        if let Some(new) = f(old) {
+            self.mem.write(addr, new);
+            self.observe_store(tid, addr, old, new, ValKind::U64);
+        }
+        self.trace_push(tid, TraceOp::Rmw(addr));
+        (old, self.sched_point(tid, TState::Ready, false))
+    }
+
+    // ---- synchronization -----------------------------------------------
+
+    /// Wakes every thread in `from` (a lock's, condvar's, … waiters).
+    fn wake_all(&mut self, from: TState) {
+        for slot in &mut self.threads {
+            if slot.state == from {
+                slot.state = TState::Ready;
+            }
+        }
+    }
+
+    /// One acquisition attempt; `true` once the lock is held.
+    fn lock(&mut self, tid: ThreadId, l: LockId) -> (bool, Turn) {
+        self.threads[tid].instr += COST_SYNC;
+        match self.locks[l.0].held_by {
+            None => {
+                self.locks[l.0].held_by = Some(tid);
+                self.trace_push(tid, TraceOp::Lock(l));
+                (true, self.sched_point(tid, TState::Ready, false))
+            }
+            Some(holder) if holder == tid => {
+                (true, self.fail(SimError::RelockHeld { tid, lock: l }))
+            }
+            Some(_) => (false, self.sched_point(tid, TState::BlockedLock(l), false)),
+        }
+    }
+
+    fn unlock(&mut self, tid: ThreadId, l: LockId) -> Turn {
+        self.threads[tid].instr += COST_SYNC;
+        if self.locks[l.0].held_by != Some(tid) {
+            return self.fail(SimError::UnlockNotHeld { tid, lock: l });
+        }
+        self.locks[l.0].held_by = None;
+        if !wake_dropped(self, tid) {
+            self.wake_all(TState::BlockedLock(l));
+        }
+        self.trace_push(tid, TraceOp::Unlock(l));
+        self.sched_point(tid, TState::Ready, false)
+    }
+
+    fn barrier(&mut self, tid: ThreadId, b: BarrierId) -> Turn {
+        self.threads[tid].instr += COST_SYNC;
+        self.trace_push(tid, TraceOp::BarrierArrive(b));
+        self.barriers[b.0].arrived.push(tid);
+        if self.barriers[b.0].arrived.len() < self.barriers[b.0].parties {
+            return self.sched_point(tid, TState::BlockedBarrier(b), false);
+        }
+        let arrived = std::mem::take(&mut self.barriers[b.0].arrived);
+        for &t in &arrived {
+            self.threads[t].state = TState::Ready;
+        }
+        self.trace_push(tid, TraceOp::BarrierRelease(b));
+        self.fire_checkpoint(tid, CheckpointKind::Barrier(b));
+        self.sched_point(tid, TState::Ready, false)
+    }
+
+    /// The first half of `cond_wait`: release `l` and block on `cond`.
+    fn cond_wait(&mut self, tid: ThreadId, cond: CondId, l: LockId) -> Turn {
+        self.threads[tid].instr += COST_SYNC;
+        if self.locks[l.0].held_by != Some(tid) {
+            return self.fail(SimError::UnlockNotHeld { tid, lock: l });
+        }
+        self.locks[l.0].held_by = None;
+        self.wake_all(TState::BlockedLock(l));
+        self.trace_push(tid, TraceOp::CondWait(cond, l));
+        self.sched_point(tid, TState::BlockedCond(cond), false)
+    }
+
+    fn cond_signal(&mut self, tid: ThreadId, cond: CondId, all: bool) -> Turn {
+        self.threads[tid].instr += COST_SYNC;
+        if !wake_dropped(self, tid) {
+            if all {
+                self.wake_all(TState::BlockedCond(cond));
+            } else if let Some(slot) = self
+                .threads
+                .iter_mut()
+                .find(|s| s.state == TState::BlockedCond(cond))
+            {
+                slot.state = TState::Ready;
+            }
+        }
+        let op = if all {
+            TraceOp::CondBroadcast(cond)
+        } else {
+            TraceOp::CondSignal(cond)
+        };
+        self.trace_push(tid, op);
+        self.sched_point(tid, TState::Ready, false)
+    }
+
+    // ---- reader-writer locks and semaphores ------------------------------
+
+    fn read_lock(&mut self, tid: ThreadId, l: RwLockId) -> (bool, Turn) {
+        self.threads[tid].instr += COST_SYNC;
+        if self.rwlocks[l.0].writer.is_some() {
+            return (
+                false,
+                self.sched_point(tid, TState::BlockedRwRead(l), false),
+            );
+        }
+        self.rwlocks[l.0].readers.push(tid);
+        self.trace_push(tid, TraceOp::RwReadLock(l));
+        (true, self.sched_point(tid, TState::Ready, false))
+    }
+
+    fn read_unlock(&mut self, tid: ThreadId, l: RwLockId) -> Turn {
+        self.threads[tid].instr += COST_SYNC;
+        let readers = &mut self.rwlocks[l.0].readers;
+        let Some(pos) = readers.iter().position(|&t| t == tid) else {
+            return self.fail(SimError::RwUnlockNotHeld {
+                tid,
+                rwlock: l.0,
+                write: false,
+            });
+        };
+        readers.swap_remove(pos);
+        if readers.is_empty() {
+            // A waiting writer may proceed.
+            self.wake_all(TState::BlockedRwWrite(l));
+        }
+        self.trace_push(tid, TraceOp::RwReadUnlock(l));
+        self.sched_point(tid, TState::Ready, false)
+    }
+
+    fn write_lock(&mut self, tid: ThreadId, l: RwLockId) -> (bool, Turn) {
+        self.threads[tid].instr += COST_SYNC;
+        let st = &mut self.rwlocks[l.0];
+        if st.writer.is_some() || !st.readers.is_empty() {
+            return (
+                false,
+                self.sched_point(tid, TState::BlockedRwWrite(l), false),
+            );
+        }
+        st.writer = Some(tid);
+        self.trace_push(tid, TraceOp::RwWriteLock(l));
+        (true, self.sched_point(tid, TState::Ready, false))
+    }
+
+    fn write_unlock(&mut self, tid: ThreadId, l: RwLockId) -> Turn {
+        self.threads[tid].instr += COST_SYNC;
+        if self.rwlocks[l.0].writer != Some(tid) {
+            return self.fail(SimError::RwUnlockNotHeld {
+                tid,
+                rwlock: l.0,
+                write: true,
+            });
+        }
+        self.rwlocks[l.0].writer = None;
+        for slot in &mut self.threads {
+            if slot.state == TState::BlockedRwRead(l) || slot.state == TState::BlockedRwWrite(l) {
+                slot.state = TState::Ready;
+            }
+        }
+        self.trace_push(tid, TraceOp::RwWriteUnlock(l));
+        self.sched_point(tid, TState::Ready, false)
+    }
+
+    fn sem_wait(&mut self, tid: ThreadId, sem: SemId) -> (bool, Turn) {
+        self.threads[tid].instr += COST_SYNC;
+        if self.sems[sem.0].count == 0 {
+            return (false, self.sched_point(tid, TState::BlockedSem(sem), false));
+        }
+        self.sems[sem.0].count -= 1;
+        self.trace_push(tid, TraceOp::SemWait(sem));
+        (true, self.sched_point(tid, TState::Ready, false))
+    }
+
+    fn sem_post(&mut self, tid: ThreadId, sem: SemId) -> Turn {
+        self.threads[tid].instr += COST_SYNC;
+        self.sems[sem.0].count += 1;
+        if !wake_dropped(self, tid) {
+            self.wake_all(TState::BlockedSem(sem));
+        }
+        self.trace_push(tid, TraceOp::SemPost(sem));
+        self.sched_point(tid, TState::Ready, false)
+    }
+
+    // ---- heap ------------------------------------------------------------
+
+    fn malloc(
+        &mut self,
+        tid: ThreadId,
+        site: &'static str,
+        tag: TypeTag,
+        len: usize,
+    ) -> (Addr, Turn) {
+        self.threads[tid].instr += COST_MALLOC;
+        if let Some(f) = &mut self.faults {
+            if f.fire(FaultKind::AllocFail, tid).is_some() {
+                self.obs_fault(tid, FaultKind::AllocFail);
+                return (Addr(0), self.fail(SimError::AllocFailed { tid, site }));
+            }
+        }
+        let (base, words) = self.alloc_block(tid, site, tag, len);
+        self.trace_push(tid, TraceOp::Alloc { base, len: words });
+        self.obs_emit(|step| {
+            obs::Event::instant(step, tid as u32, "alloc")
+                .with_arg("base", base.0)
+                .with_arg("words", words)
+        });
+        (base, self.sched_point(tid, TState::Ready, false))
+    }
+
+    fn free(&mut self, tid: ThreadId, addr: Addr) -> Turn {
+        self.threads[tid].instr += COST_FREE;
+        let Some(block) = self.alloc.free(addr) else {
+            return self.fail(SimError::BadFree { tid, addr });
+        };
+        match &mut self.hot {
+            Some(hot) => {
+                hot.freed_words += block.len as u64;
+                if hot.hashing {
+                    // The freed block leaves the live state: cancel every
+                    // word's contribution (delta current → 0, rounded as
+                    // the dyn-path checker would) via one fused run over
+                    // the block's contiguous words.
+                    hot.flush_batch();
+                    if hot.sums.len() <= tid {
+                        hot.sums.resize(tid + 1, HashSum::ZERO);
+                    }
+                    let mut pairs = std::mem::take(&mut hot.free_scratch);
+                    pairs.clear();
+                    for i in 0..block.len {
+                        let a = block.base.offset(i as u64);
+                        let cur = self.mem.read(a).unwrap_or(0);
+                        let kind = block.kind_at(i);
+                        pairs.push((hot.round(cur, kind), hot.round(0, kind)));
+                    }
+                    let delta = hash_delta_run(&hot.hasher, block.base.raw(), &pairs);
+                    hot.sums[tid] = hot.sums[tid].combine(delta);
+                    hot.free_scratch = pairs;
+                }
+            }
+            None => {
+                let contents: Vec<u64> = block
+                    .iter()
+                    .map(|a| self.mem.read(a).unwrap_or(0))
+                    .collect();
+                self.monitor.as_monitor().on_free(tid, &block, &contents);
+            }
+        }
+        self.trace_push(tid, TraceOp::Free { base: addr });
+        self.obs_emit(|step| {
+            obs::Event::instant(step, tid as u32, "free").with_arg("base", addr.0)
+        });
+        self.sched_point(tid, TState::Ready, false)
+    }
+
+    // ---- library calls, output, accounting -------------------------------
+
+    /// Charges a library call and applies an injected
+    /// [`FaultKind::LibPerturb`] fault to its result (environment
+    /// nondeterminism beyond the seeded stream, e.g. an NTP step under
+    /// `gettimeofday`).
+    fn lib_call(&mut self, tid: ThreadId, call: impl FnOnce(&mut LibCalls) -> u64) -> u64 {
+        self.threads[tid].instr += COST_LIB;
+        let v = call(&mut self.lib);
+        let perturbed = match &mut self.faults {
+            Some(f) => f.fire(FaultKind::LibPerturb, tid),
+            None => None,
+        };
+        match perturbed {
+            Some(e) => {
+                self.obs_fault(tid, FaultKind::LibPerturb);
+                v ^ e
+            }
+            None => v,
+        }
+    }
+
+    fn write_output(&mut self, tid: ThreadId, bytes: &[u8]) -> Turn {
+        self.threads[tid].instr += COST_SYNC + bytes.len() as u64 / 8;
+        self.output.extend_from_slice(bytes);
+        self.monitor.as_monitor().on_output(tid, bytes);
+        self.trace_push(tid, TraceOp::Output { len: bytes.len() });
+        self.sched_point(tid, TState::Ready, false)
+    }
+
+    /// Local computation is no scheduling point, but it checks the
+    /// watchdog: a thread looping on `work` alone must still time out.
+    #[inline]
+    fn work(&mut self, tid: ThreadId, n: u64) -> Turn {
+        self.threads[tid].instr += n;
+        if self.deadline_passed() {
+            return self.fail(SimError::Deadline {
+                limit_ms: self.deadline_ms,
+            });
+        }
+        Turn::Continue
+    }
+
+    fn checkpoint(&mut self, tid: ThreadId, label: &'static str) -> Turn {
+        self.threads[tid].instr += COST_SYNC;
+        self.fire_checkpoint(tid, CheckpointKind::Manual(label));
+        self.sched_point(tid, TState::Ready, false)
     }
 }
 
-fn lock_cell(shared: &Shared) -> MutexGuard<'_, Option<Box<Central>>> {
-    shared.mu.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Picks the next thread to run (or detects completion/deadlock) and
-/// returns the pick. Expects `c.active == None`. The caller is
-/// responsible for waking the picked thread (after parking the machine
-/// state back in the cell, so the wakeup cannot be missed).
+/// Picks the next thread to run (or detects completion/deadlock), records
+/// the decision and returns the pick. Expects `c.active == None`.
 ///
 /// `avoid` excludes a thread from consideration when at least one other
 /// thread is runnable — used by the forced-preemption backstop so that a
-/// thread spinning on plain loads cannot be handed the token straight
+/// thread spinning on plain loads cannot be handed the turn straight
 /// back regardless of the scheduler policy.
 ///
 /// A `None` return means no thread is runnable: either every thread
@@ -449,34 +892,23 @@ fn wake_dropped(c: &mut Central, tid: ThreadId) -> bool {
 /// instruments in the paper.
 ///
 /// All shared-memory traffic, synchronization, allocation, library calls
-/// and output of the program under test must go through this context; the
-/// run's [`Monitor`] observes it and the scheduler interleaves it.
+/// and output of the program under test must go through this handle; the
+/// run's [`Monitor`] observes it and the scheduler interleaves it. Every
+/// operation is `async`: its future is ready at once unless the
+/// operation is a scheduling point at which the scheduler picks another
+/// thread. An operation that is not awaited has no effect.
 ///
-/// Methods abort the whole run (by unwinding this thread) on machine
-/// misuse; the run then returns the corresponding [`SimError`].
+/// On machine misuse an operation never completes; the run then returns
+/// the corresponding [`SimError`].
 pub struct ThreadCtx {
     tid: ThreadId,
-    shared: Arc<Shared>,
-    /// The machine state, owned while this thread holds the token
-    /// (`None` while parked in the cell or owned by another thread).
-    owned: Option<Box<Central>>,
+    machine: Rc<RefCell<Central>>,
 }
 
 impl std::fmt::Debug for ThreadCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadCtx").field("tid", &self.tid).finish()
     }
-}
-
-/// What to do after the scheduler pick at a scheduling point.
-enum After {
-    /// The pick landed back on the caller: keep ownership and continue.
-    KeepRunning,
-    /// Hand the machine state to the picked thread (or, on `None`, park
-    /// it and wake everyone — the core recorded a deadlock error).
-    Handoff(Option<ThreadId>),
-    /// Abort the run with this error.
-    Fail(SimError),
 }
 
 impl ThreadCtx {
@@ -487,318 +919,54 @@ impl ThreadCtx {
 
     /// Number of threads in the program.
     pub fn nthreads(&self) -> usize {
-        self.shared.cvs.len()
+        self.machine.borrow().nthreads
     }
 
-    /// The owned machine state — the entire hot-path "guard": one relaxed
-    /// load of the abort flag and one `Option` branch, no lock.
-    #[inline]
-    fn central(&mut self) -> &mut Central {
-        if self.shared.abort.load(Ordering::Relaxed) {
-            self.abort_slow();
-        }
-        self.owned.as_deref_mut().expect("token protocol violated")
-    }
-
-    /// The deadline fired while we owned the machine state: record the
-    /// error, park the state, and unwind.
-    #[cold]
-    fn abort_slow(&mut self) -> ! {
-        if let Some(c) = self.owned.as_deref_mut() {
-            if c.error.is_none() {
-                c.error = Some(SimError::Deadline {
-                    limit_ms: c.deadline_ms,
-                });
-            }
-        }
-        if let Some(boxed) = self.owned.take() {
-            *lock_cell(&self.shared) = Some(boxed);
-        }
-        self.shared.wake_all();
-        panic::panic_any(SimAbort)
-    }
-
-    #[cold]
-    fn fail(&mut self, err: SimError) -> ! {
-        match self.owned.take() {
-            Some(mut boxed) => {
-                if boxed.error.is_none() {
-                    boxed.error = Some(err);
-                }
-                *lock_cell(&self.shared) = Some(boxed);
-            }
-            None => {
-                let mut cell = lock_cell(&self.shared);
-                if let Some(c) = cell.as_deref_mut() {
-                    if c.error.is_none() {
-                        c.error = Some(err);
-                    }
-                }
-            }
-        }
-        self.shared.wake_all();
-        panic::panic_any(SimAbort)
-    }
-
-    /// Blocks until this thread is scheduled again (or the run aborts),
-    /// then takes ownership of the machine state. Waits on this thread's
-    /// own condvar: nobody else ever sleeps there.
-    fn wait_for_turn_locked(&mut self, mut cell: MutexGuard<'_, Option<Box<Central>>>) {
-        loop {
-            match cell.as_deref() {
-                Some(c) => {
-                    if c.error.is_some() {
-                        drop(cell);
-                        panic::panic_any(SimAbort);
-                    }
-                    if c.active == Some(self.tid) && c.threads[self.tid].state == TState::Ready {
-                        self.owned = cell.take();
-                        return;
-                    }
-                }
-                None => {
-                    // Another thread owns the state. If the run is being
-                    // torn down it may never come back to the cell (the
-                    // owner could be stuck), so honor the abort flag.
-                    if self.shared.abort.load(Ordering::Relaxed) {
-                        drop(cell);
-                        panic::panic_any(SimAbort);
-                    }
-                }
-            }
-            cell = self.shared.cvs[self.tid]
-                .wait(cell)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// A scheduling point: record our new state, give up the token, let
-    /// the scheduler pick, and wait until it is our turn again. When the
-    /// pick lands back on us the whole operation stays on the owned state
-    /// — no mutex, no condvar.
-    fn reschedule(&mut self, new_state: TState) {
-        self.reschedule_avoiding(new_state, false)
-    }
-
-    fn reschedule_avoiding(&mut self, new_state: TState, avoid_self: bool) {
-        let tid = self.tid;
-        let after = {
-            let c = self.owned.as_deref_mut().expect("token protocol violated");
-            c.step += 1;
-            if c.step > c.max_steps && c.error.is_none() {
-                After::Fail(SimError::StepLimit { limit: c.max_steps })
-            } else if c
-                .deadline_at
-                // The watchdog: every scheduling point checks the wall
-                // clock, so even a spin livelock over plain loads (which
-                // reaches here via the forced-preemption backstop) is
-                // caught without waiting for the much larger step limit.
-                .is_some_and(|at| Instant::now() >= at && c.error.is_none())
-            {
-                After::Fail(SimError::Deadline {
-                    limit_ms: c.deadline_ms,
-                })
-            } else {
-                c.threads[tid].state = new_state;
-                c.active = None;
-                let picked = schedule_next_core(c, avoid_self.then_some(tid));
-                if picked == Some(tid) {
-                    After::KeepRunning
-                } else {
-                    After::Handoff(picked)
-                }
-            }
-        };
-        match after {
-            After::KeepRunning => {}
-            After::Fail(err) => self.fail(err),
-            After::Handoff(picked) => {
-                let boxed = self.owned.take().expect("token protocol violated");
-                let shared = Arc::clone(&self.shared);
-                let mut cell = lock_cell(&shared);
-                *cell = Some(boxed);
-                match picked {
-                    Some(next) => shared.cvs[next].notify_one(),
-                    // No runnable thread: the core recorded a deadlock
-                    // (the caller is not finished), so wake everyone.
-                    None => shared.wake_all(),
-                }
-                self.wait_for_turn_locked(cell);
-            }
-        }
-    }
-
-    #[inline]
-    fn access_preempt(&mut self) {
-        let tid = self.tid;
-        let (forced, policy) = {
-            let c = self.owned.as_deref_mut().expect("token protocol violated");
-            let slot = &mut c.threads[tid];
-            slot.access_count += 1;
-            let count = slot.access_count;
-            let forced = count.is_multiple_of(FORCED_PREEMPT_EVERY);
-            (forced, !forced && c.switch.preempt_on_access(count))
-        };
-        if forced {
-            self.reschedule_avoiding(TState::Ready, true);
-        } else if policy {
-            self.reschedule(TState::Ready);
-        }
+    /// Runs one operation's synchronous part on the machine state, then
+    /// awaits the turn it returns. The borrow ends before the `.await`.
+    async fn op<T>(&self, f: impl FnOnce(&mut Central, ThreadId) -> (T, Turn)) -> T {
+        let (value, turn) = f(&mut self.machine.borrow_mut(), self.tid);
+        turn.await;
+        value
     }
 
     // ---- data accesses -------------------------------------------------
 
-    fn load_kind(&mut self, addr: Addr, kind: ValKind) -> u64 {
-        let tid = self.tid;
-        let value = {
-            let c = self.central();
-            c.threads[tid].instr += COST_ACCESS;
-            match c.mem.read(addr) {
-                Some(value) => {
-                    if c.hot.is_none() {
-                        // A fast-path claim covers loads too (a claiming
-                        // monitor's `on_load` is a no-op), so the dispatch
-                        // is skipped entirely.
-                        c.monitor.as_monitor().on_load(tid, addr, value, kind);
-                    }
-                    c.trace_push(tid, TraceOp::Load(addr));
-                    Some(value)
-                }
-                None => None,
-            }
-        };
-        let Some(value) = value else {
-            self.fail(SimError::BadAddress { tid, addr });
-        };
-        self.access_preempt();
-        value
-    }
-
-    fn store_kind(&mut self, addr: Addr, mut value: u64, kind: ValKind) {
-        let tid = self.tid;
-        let ok = {
-            let c = self.central();
-            c.threads[tid].instr += COST_ACCESS;
-            if let Some(f) = &mut c.faults {
-                // Data corruption: the value actually written (and seen by
-                // both memory and the monitor) has one bit flipped.
-                if let Some(e) = f.fire(FaultKind::BitFlip, tid) {
-                    value ^= 1 << (e % 64);
-                    c.obs_fault(tid, FaultKind::BitFlip);
-                }
-            }
-            match c.mem.write(addr, value) {
-                Some(mut old) => {
-                    if let Some(f) = &mut c.faults {
-                        // The §4.1 SW-Inc hazard: the monitor's read of the
-                        // old value races the store and observes a wrong
-                        // (stale) word, so it subtracts the wrong term from
-                        // the hash. Memory itself is untouched — only the
-                        // monitor is lied to.
-                        if let Some(e) = f.fire(FaultKind::StaleRead, tid) {
-                            old ^= 1 << (e % 64);
-                            c.obs_fault(tid, FaultKind::StaleRead);
-                        }
-                    }
-                    match &mut c.hot {
-                        Some(hot) => hot.on_store(tid, addr, old, value, kind),
-                        None => c.monitor.as_monitor().on_store(tid, addr, old, value, kind),
-                    }
-                    c.trace_push(tid, TraceOp::Store(addr));
-                    true
-                }
-                None => false,
-            }
-        };
-        if !ok {
-            self.fail(SimError::BadAddress { tid, addr });
-        }
-        self.access_preempt();
-    }
-
     /// Loads an integer/pointer word.
-    pub fn load(&mut self, addr: Addr) -> u64 {
-        self.load_kind(addr, ValKind::U64)
+    pub async fn load(&self, addr: Addr) -> u64 {
+        self.op(|c, tid| c.load(tid, addr, ValKind::U64)).await
     }
 
     /// Stores an integer/pointer word.
-    pub fn store(&mut self, addr: Addr, value: u64) {
-        self.store_kind(addr, value, ValKind::U64)
+    pub async fn store(&self, addr: Addr, value: u64) {
+        self.op(|c, tid| ((), c.store(tid, addr, value, ValKind::U64)))
+            .await
     }
 
     /// Loads an `f64` (stored as its bit pattern).
-    pub fn load_f64(&mut self, addr: Addr) -> f64 {
-        f64::from_bits(self.load_kind(addr, ValKind::F64))
+    pub async fn load_f64(&self, addr: Addr) -> f64 {
+        f64::from_bits(self.op(|c, tid| c.load(tid, addr, ValKind::F64)).await)
     }
 
     /// Stores an `f64` — an *FP store*, which the checker may round off
     /// before hashing.
-    pub fn store_f64(&mut self, addr: Addr, value: f64) {
-        self.store_kind(addr, value.to_bits(), ValKind::F64)
+    pub async fn store_f64(&self, addr: Addr, value: f64) {
+        self.op(|c, tid| ((), c.store(tid, addr, value.to_bits(), ValKind::F64)))
+            .await
     }
 
     /// Atomic fetch-add on an integer word; returns the previous value.
     /// A synchronization (scheduling) point.
-    pub fn fetch_add(&mut self, addr: Addr, delta: u64) -> u64 {
-        let tid = self.tid;
-        let old = {
-            let c = self.central();
-            c.threads[tid].instr += 2 * COST_ACCESS;
-            match c.mem.read(addr) {
-                Some(old) => {
-                    let new = old.wrapping_add(delta);
-                    c.mem.write(addr, new);
-                    match &mut c.hot {
-                        Some(hot) => hot.on_store(tid, addr, old, new, ValKind::U64),
-                        None => c
-                            .monitor
-                            .as_monitor()
-                            .on_store(tid, addr, old, new, ValKind::U64),
-                    }
-                    c.trace_push(tid, TraceOp::Rmw(addr));
-                    Some(old)
-                }
-                None => None,
-            }
-        };
-        let Some(old) = old else {
-            self.fail(SimError::BadAddress { tid, addr });
-        };
-        self.reschedule(TState::Ready);
-        old
+    pub async fn fetch_add(&self, addr: Addr, delta: u64) -> u64 {
+        self.op(|c, tid| c.rmw(tid, addr, |old| Some(old.wrapping_add(delta))))
+            .await
     }
 
     /// Atomic compare-and-swap; returns the previous value (the swap
     /// happened iff it equals `expected`). A scheduling point.
-    pub fn compare_and_swap(&mut self, addr: Addr, expected: u64, new: u64) -> u64 {
-        let tid = self.tid;
-        let old = {
-            let c = self.central();
-            c.threads[tid].instr += 2 * COST_ACCESS;
-            match c.mem.read(addr) {
-                Some(old) => {
-                    if old == expected {
-                        c.mem.write(addr, new);
-                        match &mut c.hot {
-                            Some(hot) => hot.on_store(tid, addr, old, new, ValKind::U64),
-                            None => {
-                                c.monitor
-                                    .as_monitor()
-                                    .on_store(tid, addr, old, new, ValKind::U64)
-                            }
-                        }
-                    }
-                    c.trace_push(tid, TraceOp::Rmw(addr));
-                    Some(old)
-                }
-                None => None,
-            }
-        };
-        let Some(old) = old else {
-            self.fail(SimError::BadAddress { tid, addr });
-        };
-        self.reschedule(TState::Ready);
-        old
+    pub async fn compare_and_swap(&self, addr: Addr, expected: u64, new: u64) -> u64 {
+        self.op(|c, tid| c.rmw(tid, addr, |old| (old == expected).then_some(new)))
+            .await
     }
 
     // ---- synchronization -----------------------------------------------
@@ -807,88 +975,20 @@ impl ThreadCtx {
     ///
     /// The simulated mutexes are non-reentrant; re-acquiring aborts the
     /// run with [`SimError::RelockHeld`].
-    pub fn lock(&mut self, l: LockId) {
-        enum LockOutcome {
-            Acquired,
-            Blocked,
-            Relock,
-        }
-        loop {
-            let tid = self.tid;
-            let outcome = {
-                let c = self.central();
-                c.threads[tid].instr += COST_SYNC;
-                match c.locks[l.0].held_by {
-                    None => {
-                        c.locks[l.0].held_by = Some(tid);
-                        c.trace_push(tid, TraceOp::Lock(l));
-                        LockOutcome::Acquired
-                    }
-                    Some(holder) if holder == tid => LockOutcome::Relock,
-                    Some(_) => LockOutcome::Blocked,
-                }
-            };
-            match outcome {
-                LockOutcome::Acquired => {
-                    self.reschedule(TState::Ready);
-                    return;
-                }
-                LockOutcome::Blocked => self.reschedule(TState::BlockedLock(l)),
-                LockOutcome::Relock => self.fail(SimError::RelockHeld { tid, lock: l }),
-            }
-        }
+    pub async fn lock(&self, l: LockId) {
+        while !self.op(|c, tid| c.lock(tid, l)).await {}
     }
 
     /// Releases a mutex this thread holds.
-    pub fn unlock(&mut self, l: LockId) {
-        let tid = self.tid;
-        let ok = {
-            let c = self.central();
-            c.threads[tid].instr += COST_SYNC;
-            if c.locks[l.0].held_by == Some(tid) {
-                c.locks[l.0].held_by = None;
-                if !wake_dropped(c, tid) {
-                    for t in 0..c.nthreads {
-                        if c.threads[t].state == TState::BlockedLock(l) {
-                            c.threads[t].state = TState::Ready;
-                        }
-                    }
-                }
-                c.trace_push(tid, TraceOp::Unlock(l));
-                true
-            } else {
-                false
-            }
-        };
-        if !ok {
-            self.fail(SimError::UnlockNotHeld { tid, lock: l });
-        }
-        self.reschedule(TState::Ready);
+    pub async fn unlock(&self, l: LockId) {
+        self.op(|c, tid| ((), c.unlock(tid, l))).await
     }
 
     /// Arrives at a pthread-style barrier; blocks until all parties have
     /// arrived. The last arrival fires a determinism checkpoint — the
     /// paper checks at every dynamic `pthread_barrier_wait`.
-    pub fn barrier(&mut self, b: BarrierId) {
-        let tid = self.tid;
-        let state = {
-            let c = self.central();
-            c.threads[tid].instr += COST_SYNC;
-            c.trace_push(tid, TraceOp::BarrierArrive(b));
-            c.barriers[b.0].arrived.push(tid);
-            if c.barriers[b.0].arrived.len() == c.barriers[b.0].parties {
-                let arrived = std::mem::take(&mut c.barriers[b.0].arrived);
-                for &t in &arrived {
-                    c.threads[t].state = TState::Ready;
-                }
-                c.trace_push(tid, TraceOp::BarrierRelease(b));
-                c.fire_checkpoint(tid, CheckpointKind::Barrier(b));
-                TState::Ready
-            } else {
-                TState::BlockedBarrier(b)
-            }
-        };
-        self.reschedule(state);
+    pub async fn barrier(&self, b: BarrierId) {
+        self.op(|c, tid| ((), c.barrier(tid, b))).await
     }
 
     /// Waits on a condition variable, releasing `l` while waiting and
@@ -896,229 +996,61 @@ impl ThreadCtx {
     ///
     /// Spurious wakeups are possible (as with pthreads): always call in a
     /// predicate loop.
-    pub fn cond_wait(&mut self, cond: CondId, l: LockId) {
-        let tid = self.tid;
-        let ok = {
-            let c = self.central();
-            c.threads[tid].instr += COST_SYNC;
-            if c.locks[l.0].held_by == Some(tid) {
-                c.locks[l.0].held_by = None;
-                for t in 0..c.nthreads {
-                    if c.threads[t].state == TState::BlockedLock(l) {
-                        c.threads[t].state = TState::Ready;
-                    }
-                }
-                c.trace_push(tid, TraceOp::CondWait(cond, l));
-                true
-            } else {
-                false
-            }
-        };
-        if !ok {
-            self.fail(SimError::UnlockNotHeld { tid, lock: l });
-        }
-        self.reschedule(TState::BlockedCond(cond));
-        self.lock(l);
+    pub async fn cond_wait(&self, cond: CondId, l: LockId) {
+        self.op(|c, tid| ((), c.cond_wait(tid, cond, l))).await;
+        self.lock(l).await
     }
 
     /// Wakes one thread waiting on `cond` (the lowest-id waiter).
-    pub fn cond_signal(&mut self, cond: CondId) {
-        let tid = self.tid;
-        {
-            let c = self.central();
-            c.threads[tid].instr += COST_SYNC;
-            if !wake_dropped(c, tid) {
-                if let Some(t) =
-                    (0..c.nthreads).find(|&t| c.threads[t].state == TState::BlockedCond(cond))
-                {
-                    c.threads[t].state = TState::Ready;
-                }
-            }
-            c.trace_push(tid, TraceOp::CondSignal(cond));
-        }
-        self.reschedule(TState::Ready);
+    pub async fn cond_signal(&self, cond: CondId) {
+        self.op(|c, tid| ((), c.cond_signal(tid, cond, false)))
+            .await
     }
 
     /// Wakes every thread waiting on `cond`.
-    pub fn cond_broadcast(&mut self, cond: CondId) {
-        let tid = self.tid;
-        {
-            let c = self.central();
-            c.threads[tid].instr += COST_SYNC;
-            if !wake_dropped(c, tid) {
-                for t in 0..c.nthreads {
-                    if c.threads[t].state == TState::BlockedCond(cond) {
-                        c.threads[t].state = TState::Ready;
-                    }
-                }
-            }
-            c.trace_push(tid, TraceOp::CondBroadcast(cond));
-        }
-        self.reschedule(TState::Ready);
+    pub async fn cond_broadcast(&self, cond: CondId) {
+        self.op(|c, tid| ((), c.cond_signal(tid, cond, true))).await
     }
 
-    /// Voluntarily yields the token (a scheduling point with no effect).
-    pub fn sched_yield(&mut self) {
-        let _ = self.central();
-        self.reschedule(TState::Ready);
+    /// Voluntarily yields the turn (a scheduling point with no effect).
+    pub async fn sched_yield(&self) {
+        self.op(|c, tid| ((), c.sched_point(tid, TState::Ready, false)))
+            .await
     }
 
     // ---- reader-writer locks and semaphores ------------------------------
 
     /// Acquires a reader-writer lock in shared (read) mode; blocks while
     /// a writer holds it.
-    pub fn read_lock(&mut self, l: RwLockId) {
-        loop {
-            let tid = self.tid;
-            let acquired = {
-                let c = self.central();
-                c.threads[tid].instr += COST_SYNC;
-                if c.rwlocks[l.0].writer.is_none() {
-                    c.rwlocks[l.0].readers.push(tid);
-                    c.trace_push(tid, TraceOp::RwReadLock(l));
-                    true
-                } else {
-                    false
-                }
-            };
-            if acquired {
-                self.reschedule(TState::Ready);
-                return;
-            }
-            self.reschedule(TState::BlockedRwRead(l));
-        }
+    pub async fn read_lock(&self, l: RwLockId) {
+        while !self.op(|c, tid| c.read_lock(tid, l)).await {}
     }
 
     /// Releases a shared (read) hold.
-    pub fn read_unlock(&mut self, l: RwLockId) {
-        let tid = self.tid;
-        let ok = {
-            let c = self.central();
-            c.threads[tid].instr += COST_SYNC;
-            match c.rwlocks[l.0].readers.iter().position(|&t| t == tid) {
-                Some(pos) => {
-                    c.rwlocks[l.0].readers.swap_remove(pos);
-                    if c.rwlocks[l.0].readers.is_empty() {
-                        // A waiting writer may proceed.
-                        for t in 0..c.nthreads {
-                            if c.threads[t].state == TState::BlockedRwWrite(l) {
-                                c.threads[t].state = TState::Ready;
-                            }
-                        }
-                    }
-                    c.trace_push(tid, TraceOp::RwReadUnlock(l));
-                    true
-                }
-                None => false,
-            }
-        };
-        if !ok {
-            self.fail(SimError::RwUnlockNotHeld {
-                tid,
-                rwlock: l.0,
-                write: false,
-            });
-        }
-        self.reschedule(TState::Ready);
+    pub async fn read_unlock(&self, l: RwLockId) {
+        self.op(|c, tid| ((), c.read_unlock(tid, l))).await
     }
 
     /// Acquires a reader-writer lock in exclusive (write) mode; blocks
     /// while any reader or another writer holds it.
-    pub fn write_lock(&mut self, l: RwLockId) {
-        loop {
-            let tid = self.tid;
-            let acquired = {
-                let c = self.central();
-                c.threads[tid].instr += COST_SYNC;
-                let st = &mut c.rwlocks[l.0];
-                if st.writer.is_none() && st.readers.is_empty() {
-                    st.writer = Some(tid);
-                    c.trace_push(tid, TraceOp::RwWriteLock(l));
-                    true
-                } else {
-                    false
-                }
-            };
-            if acquired {
-                self.reschedule(TState::Ready);
-                return;
-            }
-            self.reschedule(TState::BlockedRwWrite(l));
-        }
+    pub async fn write_lock(&self, l: RwLockId) {
+        while !self.op(|c, tid| c.write_lock(tid, l)).await {}
     }
 
     /// Releases an exclusive (write) hold.
-    pub fn write_unlock(&mut self, l: RwLockId) {
-        let tid = self.tid;
-        let ok = {
-            let c = self.central();
-            c.threads[tid].instr += COST_SYNC;
-            if c.rwlocks[l.0].writer == Some(tid) {
-                c.rwlocks[l.0].writer = None;
-                for t in 0..c.nthreads {
-                    if c.threads[t].state == TState::BlockedRwRead(l)
-                        || c.threads[t].state == TState::BlockedRwWrite(l)
-                    {
-                        c.threads[t].state = TState::Ready;
-                    }
-                }
-                c.trace_push(tid, TraceOp::RwWriteUnlock(l));
-                true
-            } else {
-                false
-            }
-        };
-        if !ok {
-            self.fail(SimError::RwUnlockNotHeld {
-                tid,
-                rwlock: l.0,
-                write: true,
-            });
-        }
-        self.reschedule(TState::Ready);
+    pub async fn write_unlock(&self, l: RwLockId) {
+        self.op(|c, tid| ((), c.write_unlock(tid, l))).await
     }
 
     /// Semaphore wait (P): blocks until the count is positive, then
     /// decrements it.
-    pub fn sem_wait(&mut self, sem: SemId) {
-        loop {
-            let tid = self.tid;
-            let acquired = {
-                let c = self.central();
-                c.threads[tid].instr += COST_SYNC;
-                if c.sems[sem.0].count > 0 {
-                    c.sems[sem.0].count -= 1;
-                    c.trace_push(tid, TraceOp::SemWait(sem));
-                    true
-                } else {
-                    false
-                }
-            };
-            if acquired {
-                self.reschedule(TState::Ready);
-                return;
-            }
-            self.reschedule(TState::BlockedSem(sem));
-        }
+    pub async fn sem_wait(&self, sem: SemId) {
+        while !self.op(|c, tid| c.sem_wait(tid, sem)).await {}
     }
 
     /// Semaphore post (V): increments the count and wakes waiters.
-    pub fn sem_post(&mut self, sem: SemId) {
-        let tid = self.tid;
-        {
-            let c = self.central();
-            c.threads[tid].instr += COST_SYNC;
-            c.sems[sem.0].count += 1;
-            if !wake_dropped(c, tid) {
-                for t in 0..c.nthreads {
-                    if c.threads[t].state == TState::BlockedSem(sem) {
-                        c.threads[t].state = TState::Ready;
-                    }
-                }
-            }
-            c.trace_push(tid, TraceOp::SemPost(sem));
-        }
-        self.reschedule(TState::Ready);
+    pub async fn sem_post(&self, sem: SemId) {
+        self.op(|c, tid| ((), c.sem_post(tid, sem))).await
     }
 
     // ---- heap ------------------------------------------------------------
@@ -1126,182 +1058,51 @@ impl ThreadCtx {
     /// Allocates `len` zero-filled words at allocation site `site` with
     /// per-word type layout `tag`. A scheduling point (the allocator is
     /// shared state).
-    pub fn malloc(&mut self, site: &'static str, tag: TypeTag, len: usize) -> Addr {
-        let tid = self.tid;
-        let alloc_failed = {
-            let c = self.central();
-            c.threads[tid].instr += COST_MALLOC;
-            let failed = match &mut c.faults {
-                Some(f) => f.fire(FaultKind::AllocFail, tid).is_some(),
-                None => false,
-            };
-            if failed {
-                c.obs_fault(tid, FaultKind::AllocFail);
-            }
-            failed
-        };
-        if alloc_failed {
-            self.fail(SimError::AllocFailed { tid, site });
-        }
-        let base = {
-            let c = self.central();
-            let base = c.alloc.alloc(tid, site, tag, len);
-            let high = c.alloc.high_water();
-            c.mem.grow_heap(high);
-            let len = c.alloc.table()[&base.0].len;
-            for i in 0..len {
-                c.mem.write(base.offset(i as u64), 0);
-            }
-            if c.charge_zero_fill {
-                c.zero_fill_instr += len as u64;
-            }
-            let block = c.alloc.table()[&base.0].clone();
-            c.monitor.as_monitor().on_alloc(tid, &block);
-            c.trace_push(tid, TraceOp::Alloc { base, len });
-            c.obs_emit(|step| {
-                obs::Event::instant(step, tid as u32, "alloc")
-                    .with_arg("base", base.0)
-                    .with_arg("words", len)
-            });
-            base
-        };
-        self.reschedule(TState::Ready);
-        base
+    pub async fn malloc(&self, site: &'static str, tag: TypeTag, len: usize) -> Addr {
+        self.op(|c, tid| c.malloc(tid, site, tag, len)).await
     }
 
     /// Frees the block at `addr`. Aborts the run with
     /// [`SimError::BadFree`] if `addr` is not the base of a live block.
     /// A scheduling point.
-    pub fn free(&mut self, addr: Addr) {
-        let tid = self.tid;
-        let block = {
-            let c = self.central();
-            c.threads[tid].instr += COST_FREE;
-            c.alloc.free(addr)
-        };
-        let Some(block) = block else {
-            self.fail(SimError::BadFree { tid, addr });
-        };
-        let central = self.central();
-        match &mut central.hot {
-            Some(hot) => {
-                hot.freed_words += block.len as u64;
-                if hot.hashing {
-                    // The freed block leaves the live state: cancel every
-                    // word's contribution (delta current → 0, rounded as
-                    // the dyn-path checker would) via one fused run over
-                    // the block's contiguous words.
-                    hot.flush_batch();
-                    if hot.sums.len() <= tid {
-                        hot.sums.resize(tid + 1, HashSum::ZERO);
-                    }
-                    let mut pairs = std::mem::take(&mut hot.free_scratch);
-                    pairs.clear();
-                    for i in 0..block.len {
-                        let a = block.base.offset(i as u64);
-                        let cur = central.mem.read(a).unwrap_or(0);
-                        let kind = block.kind_at(i);
-                        pairs.push((hot.round(cur, kind), hot.round(0, kind)));
-                    }
-                    let delta = hash_delta_run(&hot.hasher, block.base.raw(), &pairs);
-                    hot.sums[tid] = hot.sums[tid].combine(delta);
-                    hot.free_scratch = pairs;
-                }
-            }
-            None => {
-                let contents: Vec<u64> = block
-                    .iter()
-                    .map(|a| central.mem.read(a).unwrap_or(0))
-                    .collect();
-                central.monitor.as_monitor().on_free(tid, &block, &contents);
-            }
-        }
-        central.trace_push(tid, TraceOp::Free { base: addr });
-        central.obs_emit(|step| {
-            obs::Event::instant(step, tid as u32, "free").with_arg("base", addr.0)
-        });
-        self.reschedule(TState::Ready);
+    pub async fn free(&self, addr: Addr) {
+        self.op(|c, tid| ((), c.free(tid, addr))).await
     }
 
     // ---- library calls, output, accounting -------------------------------
 
     /// Simulated nondeterministic `rand()` (controlled by the run's
     /// library seed / replay log).
-    pub fn rand_u64(&mut self) -> u64 {
-        let tid = self.tid;
-        let c = self.central();
-        c.threads[tid].instr += COST_LIB;
-        let v = c.lib.rand_u64(tid);
-        lib_perturb(c, tid, v)
+    pub async fn rand_u64(&self) -> u64 {
+        self.op(|c, tid| (c.lib_call(tid, |lib| lib.rand_u64(tid)), Turn::Continue))
+            .await
     }
 
     /// Simulated `gettimeofday()` (controlled like [`rand_u64`]).
     ///
     /// [`rand_u64`]: ThreadCtx::rand_u64
-    pub fn gettimeofday(&mut self) -> u64 {
-        let tid = self.tid;
-        let c = self.central();
-        c.threads[tid].instr += COST_LIB;
-        let v = c.lib.gettimeofday(tid);
-        lib_perturb(c, tid, v)
+    pub async fn gettimeofday(&self) -> u64 {
+        self.op(|c, tid| (c.lib_call(tid, |lib| lib.gettimeofday(tid)), Turn::Continue))
+            .await
     }
 
     /// Appends bytes to the program's output stream (the simulated
     /// `write()`); a scheduling point.
-    pub fn write_output(&mut self, bytes: &[u8]) {
-        let tid = self.tid;
-        {
-            let c = self.central();
-            c.threads[tid].instr += COST_SYNC + bytes.len() as u64 / 8;
-            c.output.extend_from_slice(bytes);
-            c.monitor.as_monitor().on_output(tid, bytes);
-            c.trace_push(tid, TraceOp::Output { len: bytes.len() });
-        }
-        self.reschedule(TState::Ready);
+    pub async fn write_output(&self, bytes: &[u8]) {
+        self.op(|c, tid| ((), c.write_output(tid, bytes))).await
     }
 
     /// Accounts `n` instructions of thread-local computation (work that
-    /// does not touch shared memory).
-    #[inline]
-    pub fn work(&mut self, n: u64) {
-        let tid = self.tid;
-        let c = self.central();
-        c.threads[tid].instr += n;
+    /// does not touch shared memory). Not a scheduling point, but it
+    /// honors the run's deadline.
+    pub async fn work(&self, n: u64) {
+        self.op(|c, tid| ((), c.work(tid, n))).await
     }
 
     /// Fires a manual determinism checkpoint (the paper's
     /// programmer-specified checking points). A scheduling point.
-    pub fn checkpoint(&mut self, label: &'static str) {
-        let tid = self.tid;
-        {
-            let c = self.central();
-            c.threads[tid].instr += COST_SYNC;
-            c.fire_checkpoint(tid, CheckpointKind::Manual(label));
-        }
-        self.reschedule(TState::Ready);
-    }
-
-    fn wait_first_turn(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let cell = lock_cell(&shared);
-        self.wait_for_turn_locked(cell);
-    }
-}
-
-/// Applies an injected [`FaultKind::LibPerturb`] fault to a library
-/// call's result (environment nondeterminism beyond the seeded
-/// stream, e.g. an NTP step under `gettimeofday`).
-fn lib_perturb(c: &mut Central, tid: ThreadId, v: u64) -> u64 {
-    let perturbed = match &mut c.faults {
-        Some(f) => f.fire(FaultKind::LibPerturb, tid),
-        None => None,
-    };
-    match perturbed {
-        Some(e) => {
-            c.obs_fault(tid, FaultKind::LibPerturb);
-            v ^ e
-        }
-        None => v,
+    pub async fn checkpoint(&self, label: &'static str) {
+        self.op(|c, tid| ((), c.checkpoint(tid, label))).await
     }
 }
 
@@ -1372,19 +1173,7 @@ impl SetupCtx<'_> {
     /// input data of the program).
     pub fn malloc(&mut self, site: &'static str, tag: TypeTag, len: usize) -> Addr {
         self.c.threads[0].instr += COST_MALLOC;
-        let base = self.c.alloc.alloc(0, site, tag, len);
-        let high = self.c.alloc.high_water();
-        self.c.mem.grow_heap(high);
-        let len = self.c.alloc.table()[&base.0].len;
-        for i in 0..len {
-            self.c.mem.write(base.offset(i as u64), 0);
-        }
-        if self.c.charge_zero_fill {
-            self.c.zero_fill_instr += len as u64;
-        }
-        let block = self.c.alloc.table()[&base.0].clone();
-        self.c.monitor.as_monitor().on_alloc(0, &block);
-        base
+        self.c.alloc_block(0, site, tag, len).0
     }
 
     /// A deterministic pseudo-random stream for building input data
@@ -1489,70 +1278,12 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-fn thread_main(shared: Arc<Shared>, tid: ThreadId, body: Box<dyn FnOnce(&mut ThreadCtx) + Send>) {
-    let mut ctx = ThreadCtx {
-        tid,
-        shared: shared.clone(),
-        owned: None,
-    };
-    let result = panic::catch_unwind(AssertUnwindSafe(|| {
-        ctx.wait_first_turn();
-        body(&mut ctx);
-    }));
-    // Park the machine state if we still own it (normal completion, or a
-    // panic out of the workload body — both happen while holding the
-    // token). If we unwound from a wait instead, the state is either in
-    // the cell already or owned by another thread.
-    let owned = ctx.owned.take();
-    let mut cell = lock_cell(&shared);
-    if let Some(boxed) = owned {
-        *cell = Some(boxed);
-    }
-    // When the cell is empty the machine state is owned by another
-    // (still running) thread; we can only be here unwinding from an
-    // abort, whose error that owner records. Nothing to update.
-    if let Some(c) = cell.as_deref_mut() {
-        if let Err(payload) = &result {
-            if !payload.is::<SimAbort>() && c.error.is_none() {
-                c.error = Some(SimError::ThreadPanic {
-                    tid,
-                    message: payload_message(payload.as_ref()),
-                });
-            }
-        }
-        if c.threads[tid].state != TState::Finished {
-            c.threads[tid].state = TState::Finished;
-            c.finished += 1;
-        }
-        if c.active == Some(tid) {
-            c.active = None;
-        }
-        if c.error.is_none() && c.active.is_none() {
-            match schedule_next_core(c, None) {
-                Some(next) => shared.cvs[next].notify_one(),
-                None => {
-                    if c.error.is_some() {
-                        shared.wake_all();
-                    } else {
-                        // All threads finished: only the coordinator
-                        // cares.
-                        shared.coord.notify_all();
-                    }
-                }
-            }
-        } else {
-            shared.wake_all();
-        }
-    }
-}
-
-/// Runs `prog` under `config` with `monitor` observing.
+/// Runs `prog` under `config` with `monitor` observing: the executor.
 pub(crate) fn run<M: Monitor + 'static>(
     prog: Program,
     config: &RunConfig,
     monitor: M,
 ) -> Result<RunOutcome<M>, SimError> {
-    install_quiet_abort_hook();
     let nthreads = prog.nthreads;
     let mut scheduler = config.scheduler.build();
     scheduler.init(nthreads);
@@ -1620,92 +1351,66 @@ pub(crate) fn run<M: Monitor + 'static>(
         setup(&mut sctx);
     }
 
-    let deadline_ms = central.deadline_ms;
-    let deadline_at = central.deadline_at;
-    let shared = Arc::new(Shared {
-        mu: Mutex::new(Some(Box::new(central))),
-        cvs: (0..nthreads).map(|_| Condvar::new()).collect(),
-        coord: Condvar::new(),
-        abort: AtomicBool::new(false),
-    });
-
-    let handles: Vec<_> = prog
+    let machine = Rc::new(RefCell::new(central));
+    let mut tasks: Vec<_> = prog
         .threads
         .into_iter()
         .enumerate()
         .map(|(tid, body)| {
-            let sh = shared.clone();
-            thread::Builder::new()
-                .name(format!("tsim-{tid}"))
-                .spawn(move || thread_main(sh, tid, body))
-                .expect("spawning a simulated thread")
+            Some(body(ThreadCtx {
+                tid,
+                machine: Rc::clone(&machine),
+            }))
         })
         .collect();
 
-    {
-        let mut cell = lock_cell(&shared);
-        if let Some(next) = schedule_next_core(
-            cell.as_deref_mut().expect("machine state present at start"),
-            None,
-        ) {
-            shared.cvs[next].notify_one();
+    let mut cx = Context::from_waker(Waker::noop());
+    let mut next = schedule_next_core(&mut machine.borrow_mut(), None);
+    while let Some(tid) = next {
+        let task = tasks[tid]
+            .as_mut()
+            .expect("a finished thread is never picked");
+        let polled = panic::catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx)));
+        if let Ok(Poll::Ready(())) = polled {
+            tasks[tid] = None;
         }
-        loop {
-            // While a thread owns the machine state the coordinator
-            // cannot inspect it; completion and errors always end with
-            // the state parked back in the cell plus a wakeup.
-            if let Some(c) = cell.as_deref() {
-                if c.finished >= nthreads || c.error.is_some() {
-                    break;
-                }
+        let c = &mut *machine.borrow_mut();
+        match polled {
+            Ok(Poll::Ready(())) => {
+                c.threads[tid].state = TState::Finished;
+                c.finished += 1;
+                c.active = None;
             }
-            match deadline_at {
-                // With a watchdog configured, the coordinator wakes at
-                // the deadline even if no simulated thread reaches a
-                // scheduling point (e.g. one thread stuck in a pure
-                // `work` loop): it posts the error (or raises the abort
-                // flag when the state is owned by the stuck thread, which
-                // then unwinds at its next instrumented call).
-                Some(at) => {
-                    let now = Instant::now();
-                    if now >= at {
-                        shared.abort.store(true, Ordering::SeqCst);
-                        if let Some(c) = cell.as_deref_mut() {
-                            if c.error.is_none() {
-                                c.error = Some(SimError::Deadline {
-                                    limit_ms: deadline_ms,
-                                });
-                            }
-                        }
-                        shared.wake_all();
-                        break;
-                    }
-                    cell = shared
-                        .coord
-                        .wait_timeout(cell, at - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-                None => {
-                    cell = shared
-                        .coord
-                        .wait(cell)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
+            // An operation that hands the turn over leaves another thread
+            // active (or records why none is); a body that is pending while
+            // still holding the turn awaited something the scheduler
+            // cannot see, and would otherwise be polled forever.
+            Ok(Poll::Pending) if c.error.is_none() && c.active == Some(tid) => {
+                c.fail(SimError::ThreadPanic {
+                    tid,
+                    message: "awaited a future that is not a ThreadCtx operation".to_owned(),
+                });
+            }
+            Ok(Poll::Pending) => {}
+            Err(payload) => {
+                c.fail(SimError::ThreadPanic {
+                    tid,
+                    message: payload_message(payload.as_ref()),
+                });
             }
         }
+        next = match (&c.error, c.active) {
+            (Some(_), _) => None,
+            (None, Some(active)) => Some(active),
+            (None, None) => schedule_next_core(c, None),
+        };
     }
-    for h in handles {
-        let _ = h.join();
-    }
-
-    let shared =
-        Arc::try_unwrap(shared).unwrap_or_else(|_| unreachable!("all simulated threads joined"));
-    let mut central = *shared
-        .mu
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .expect("machine state parked after all threads joined");
+    // Dropping the futures drops every ThreadCtx, which leaves the
+    // executor the only owner of the machine state.
+    drop(tasks);
+    let mut central = Rc::try_unwrap(machine)
+        .unwrap_or_else(|_| panic!("a ThreadCtx outlived its run"))
+        .into_inner();
 
     if let Some(err) = central.error.take() {
         return Err(err);

@@ -16,6 +16,9 @@
 //!   ("a thread scheduler runs one thread at a time and switches between
 //!   threads at synchronizations; the thread to run is chosen randomly"),
 //!   which is also how PCT and CHESS drive programs.
+//! * Thread bodies are `async` and every [`ThreadCtx`] operation is
+//!   awaited. A run polls the picked thread's future on the caller's OS
+//!   thread, so a thread switch is one `poll`, not an OS context switch.
 //! * Scheduling points always include synchronization operations
 //!   (locks, barriers, condition variables, atomic RMWs); the
 //!   [`SwitchPolicy`] optionally adds every (or every k-th) data access,
@@ -36,11 +39,11 @@
 //! let g = b.global("counter", ValKind::U64, 1);
 //! let lock = b.mutex();
 //! for _ in 0..2 {
-//!     b.thread(move |ctx| {
-//!         ctx.lock(lock);
-//!         let v = ctx.load(g.at(0));
-//!         ctx.store(g.at(0), v + 1);
-//!         ctx.unlock(lock);
+//!     b.thread(move |ctx| async move {
+//!         ctx.lock(lock).await;
+//!         let v = ctx.load(g.at(0)).await;
+//!         ctx.store(g.at(0), v + 1).await;
+//!         ctx.unlock(lock).await;
 //!     });
 //! }
 //! let outcome = b.build().run(&RunConfig::random(42)).unwrap();

@@ -1,7 +1,8 @@
 //! Program construction and run configuration.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
-
 use std::time::Duration;
 
 use crate::alloc::AllocLog;
@@ -23,14 +24,17 @@ pub struct GlobalDecl {
     pub region: Region,
 }
 
-pub(crate) type ThreadBody = Box<dyn FnOnce(&mut ThreadCtx) + Send + 'static>;
+/// A thread's body: called with its handle when the run starts, it
+/// returns the future the executor polls.
+pub(crate) type ThreadBody =
+    Box<dyn FnOnce(ThreadCtx) -> Pin<Box<dyn Future<Output = ()>>> + Send + 'static>;
 pub(crate) type SetupBody = Box<dyn FnOnce(&mut SetupCtx<'_>) + Send + 'static>;
 
 /// Builder for a simulated parallel [`Program`].
 ///
 /// Workloads declare their globals, synchronization objects, an optional
-/// single-threaded setup phase (the fixed *input state*), and one body
-/// closure per thread.
+/// single-threaded setup phase (the fixed *input state*), and one `async`
+/// body per thread.
 ///
 /// # Example
 ///
@@ -43,11 +47,11 @@ pub(crate) type SetupBody = Box<dyn FnOnce(&mut SetupCtx<'_>) + Send + 'static>;
 /// b.setup(move |s| s.store(g.at(0), 2)); // initial G == 2
 /// for tid in 0..2 {
 ///     let l = [7u64, 3u64][tid];
-///     b.thread(move |ctx| {
-///         ctx.lock(lock);
-///         let v = ctx.load(g.at(0));
-///         ctx.store(g.at(0), v + l);
-///         ctx.unlock(lock);
+///     b.thread(move |ctx| async move {
+///         ctx.lock(lock).await;
+///         let v = ctx.load(g.at(0)).await;
+///         ctx.store(g.at(0), v + l).await;
+///         ctx.unlock(lock).await;
 ///     });
 /// }
 /// let out = b.build().run(&RunConfig::random(1)).unwrap();
@@ -169,18 +173,26 @@ impl ProgramBuilder {
     }
 
     /// Adds the body of the next thread (thread ids are assigned in call
-    /// order, starting at 0).
+    /// order, starting at 0): a closure that takes the thread's
+    /// [`ThreadCtx`] and returns the thread's future, typically
+    /// `move |ctx| async move { … }`. The closure is called when the
+    /// thread is first scheduled.
     ///
     /// # Panics
     ///
     /// Panics if more bodies are added than the declared thread count.
-    pub fn thread(&mut self, f: impl FnOnce(&mut ThreadCtx) + Send + 'static) -> &mut Self {
+    pub fn thread<F, Fut>(&mut self, f: F) -> &mut Self
+    where
+        F: FnOnce(ThreadCtx) -> Fut + Send + 'static,
+        Fut: Future<Output = ()> + 'static,
+    {
         assert!(
             self.threads.len() < self.nthreads,
             "more thread bodies than the declared {} threads",
             self.nthreads
         );
-        self.threads.push(Box::new(f));
+        self.threads
+            .push(Box::new(move |ctx| Box::pin(async move { f(ctx).await })));
         self
     }
 
@@ -295,8 +307,10 @@ pub struct RunConfig {
     pub faults: Option<FaultPlan>,
     /// Wall-clock watchdog: abort the run with
     /// [`SimError::Deadline`] if it is still going after this long.
-    /// Unlike [`max_steps`](RunConfig::max_steps) this also catches
-    /// runs that stop taking scheduling steps entirely.
+    /// Checked at every scheduling point and in every
+    /// [`ThreadCtx::work`] call, so unlike
+    /// [`max_steps`](RunConfig::max_steps) it also catches a thread that
+    /// stops taking scheduling steps but keeps computing.
     pub deadline: Option<Duration>,
     /// Observability sink for structured events (scheduler decisions,
     /// checkpoints, faults, allocations), keyed by simulated step.
@@ -430,7 +444,7 @@ mod tests {
         assert_eq!(x.base, Addr(GLOBALS_BASE));
         assert_eq!(y.base, Addr(GLOBALS_BASE + 4));
         assert_eq!(y.kind, ValKind::F64);
-        b.thread(|_| {});
+        b.thread(|_| async {});
         let p = b.build();
         assert_eq!(p.global_words, 6);
         assert_eq!(p.globals.len(), 2);
@@ -457,7 +471,7 @@ mod tests {
     #[should_panic(expected = "expected 2 thread bodies")]
     fn missing_bodies_rejected() {
         let mut b = ProgramBuilder::new(2);
-        b.thread(|_| {});
+        b.thread(|_| async {});
         let _ = b.build();
     }
 
@@ -465,8 +479,8 @@ mod tests {
     #[should_panic(expected = "more thread bodies")]
     fn extra_bodies_rejected() {
         let mut b = ProgramBuilder::new(1);
-        b.thread(|_| {});
-        b.thread(|_| {});
+        b.thread(|_| async {});
+        b.thread(|_| async {});
     }
 
     #[test]

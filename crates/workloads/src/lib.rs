@@ -90,59 +90,73 @@ impl AppSpec {
 /// The paper's eight-thread configuration.
 pub const THREADS: usize = 8;
 
+/// The 17 application names in Table 1 order.
+const NAMES: [&str; 17] = [
+    "blackscholes",
+    "fft",
+    "lu",
+    "radix",
+    "streamcluster",
+    "swaptions",
+    "volrend",
+    "fluidanimate",
+    "ocean",
+    "waterNS",
+    "waterSP",
+    "cholesky",
+    "pbzip2",
+    "sphinx3",
+    "barnes",
+    "canneal",
+    "radiosity",
+];
+
+fn registered(scaled: bool) -> Vec<AppSpec> {
+    NAMES
+        .iter()
+        .map(|name| by_name(name, scaled).expect("every listed name is registered"))
+        .collect()
+}
+
 /// All 17 applications at paper scale (Table 1 order). `streamcluster`
 /// appears in its buggy (original v2.1) form, as in the paper's
 /// experiments.
 pub fn all() -> Vec<AppSpec> {
-    vec![
-        apps::blackscholes::spec(),
-        apps::fft::spec(),
-        apps::lu::spec(),
-        apps::radix::spec(),
-        apps::streamcluster::spec_buggy(),
-        apps::swaptions::spec(),
-        apps::volrend::spec(),
-        apps::fluidanimate::spec(),
-        apps::ocean::spec(),
-        apps::water::spec_ns(),
-        apps::water::spec_sp(),
-        apps::cholesky::spec(),
-        apps::pbzip2::spec(),
-        apps::sphinx3::spec(),
-        apps::barnes::spec(),
-        apps::canneal::spec(),
-        apps::radiosity::spec(),
-    ]
+    registered(false)
 }
 
 /// All 17 applications at miniature scale (same structure, far fewer
 /// iterations) for fast tests.
 pub fn all_scaled() -> Vec<AppSpec> {
-    vec![
-        apps::blackscholes::spec_scaled(),
-        apps::fft::spec_scaled(),
-        apps::lu::spec_scaled(),
-        apps::radix::spec_scaled(),
-        apps::streamcluster::spec_buggy_scaled(),
-        apps::swaptions::spec_scaled(),
-        apps::volrend::spec_scaled(),
-        apps::fluidanimate::spec_scaled(),
-        apps::ocean::spec_scaled(),
-        apps::water::spec_ns_scaled(),
-        apps::water::spec_sp_scaled(),
-        apps::cholesky::spec_scaled(),
-        apps::pbzip2::spec_scaled(),
-        apps::sphinx3::spec_scaled(),
-        apps::barnes::spec_scaled(),
-        apps::canneal::spec_scaled(),
-        apps::radiosity::spec_scaled(),
-    ]
+    registered(true)
 }
 
-/// Looks up an application by name (either scale).
+/// Looks up an application by name (either scale). Builds only the
+/// matching spec.
 pub fn by_name(name: &str, scaled: bool) -> Option<AppSpec> {
-    let pool = if scaled { all_scaled() } else { all() };
-    pool.into_iter().find(|a| a.name == name)
+    use apps::*;
+    type Spec = fn() -> AppSpec;
+    let (full, mini): (Spec, Spec) = match name {
+        "blackscholes" => (blackscholes::spec, blackscholes::spec_scaled),
+        "fft" => (fft::spec, fft::spec_scaled),
+        "lu" => (lu::spec, lu::spec_scaled),
+        "radix" => (radix::spec, radix::spec_scaled),
+        "streamcluster" => (streamcluster::spec_buggy, streamcluster::spec_buggy_scaled),
+        "swaptions" => (swaptions::spec, swaptions::spec_scaled),
+        "volrend" => (volrend::spec, volrend::spec_scaled),
+        "fluidanimate" => (fluidanimate::spec, fluidanimate::spec_scaled),
+        "ocean" => (ocean::spec, ocean::spec_scaled),
+        "waterNS" => (water::spec_ns, water::spec_ns_scaled),
+        "waterSP" => (water::spec_sp, water::spec_sp_scaled),
+        "cholesky" => (cholesky::spec, cholesky::spec_scaled),
+        "pbzip2" => (pbzip2::spec, pbzip2::spec_scaled),
+        "sphinx3" => (sphinx3::spec, sphinx3::spec_scaled),
+        "barnes" => (barnes::spec, barnes::spec_scaled),
+        "canneal" => (canneal::spec, canneal::spec_scaled),
+        "radiosity" => (radiosity::spec, radiosity::spec_scaled),
+        _ => return None,
+    };
+    Some(if scaled { mini() } else { full() })
 }
 
 /// The three seeded-bug variants of Figure 7 (Table 2), paper scale:
@@ -203,6 +217,12 @@ mod tests {
         assert!(by_name("fft", true).is_some());
         assert!(by_name("fft", false).is_some());
         assert!(by_name("doom", true).is_none());
+        for scaled in [false, true] {
+            let pool = if scaled { all_scaled() } else { all() };
+            for (spec, name) in pool.iter().zip(NAMES) {
+                assert_eq!(spec.name, name, "the registry keys each spec by its name");
+            }
+        }
     }
 
     #[test]

@@ -18,11 +18,11 @@ fn figure1() -> Program {
     let lock = b.mutex();
     b.setup(move |s| s.store(g.at(0), 2)); // fixed input: G == 2
     for local in [7u64, 3u64] {
-        b.thread(move |ctx| {
-            ctx.lock(lock);
-            let v = ctx.load(g.at(0));
-            ctx.store(g.at(0), v + local);
-            ctx.unlock(lock);
+        b.thread(move |ctx| async move {
+            ctx.lock(lock).await;
+            let v = ctx.load(g.at(0)).await;
+            ctx.store(g.at(0), v + local).await;
+            ctx.unlock(lock).await;
         });
     }
     b.build()
@@ -34,8 +34,8 @@ fn last_writer_wins() -> Program {
     let mut b = ProgramBuilder::new(2);
     let g = b.global("G", ValKind::U64, 1);
     for local in [7u64, 3u64] {
-        b.thread(move |ctx| {
-            ctx.store(g.at(0), local);
+        b.thread(move |ctx| async move {
+            ctx.store(g.at(0), local).await;
         });
     }
     b.build()
