@@ -239,7 +239,6 @@ struct Central {
 
 /// What the calling thread does after an operation: the future every
 /// [`ThreadCtx`] operation ends by awaiting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Turn {
     /// The caller keeps the turn: ready at once.
     Continue,
