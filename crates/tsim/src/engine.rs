@@ -2,8 +2,9 @@
 //! thread of a run on the caller's OS thread.
 //!
 //! Each simulated thread is an `async` body over a [`ThreadCtx`]. Every
-//! instrumented operation applies its effect to the machine state
-//! ([`Central`]) at once and returns a future. At a *scheduling point*
+//! instrumented operation is an `async fn` that, when awaited, applies
+//! its effect to the machine state ([`Central`]) at once. At a
+//! *scheduling point*
 //! (synchronization operations, and data accesses when the
 //! [`SwitchPolicy`](crate::SwitchPolicy) says so) the operation asks the
 //! scheduler for the next thread. If the pick is the caller, the future
