@@ -1,15 +1,11 @@
 //! `icd` — the InstantCheck campaign daemon.
 //!
 //! A long-running front end for the `sched` orchestrator: it accepts
-//! batches of campaign submissions as JSON lines, runs them on a
-//! bounded worker pool over the registered workloads, multiplexes an
-//! optional shared run corpus behind a lock-free shared run cache, and
-//! writes one
-//! deterministic artifact per campaign. Under load it degrades
-//! gracefully — submissions past the queue bound (or past a tenant's
-//! quota) are *shed* with an explicit outcome instead of blocking or
-//! dying — and on shutdown it drains: every accepted campaign finishes
-//! before the process exits.
+//! campaign submissions as JSON lines, runs them on a bounded worker
+//! pool over the registered workloads and an optional shared run
+//! corpus, and writes one deterministic artifact per campaign.
+//! Submissions past the queue bound or a tenant's quota are *shed* with
+//! an explicit outcome; on shutdown every accepted campaign finishes.
 //!
 //! ```text
 //! icd [--width N] [--queue-cap N] [--budget N] [--retries N]
@@ -22,93 +18,65 @@
 //! icd --connect PATH [--batch FILE|-]        # client mode
 //! ```
 //!
-//! Storage is one knob set: `--corpus-dir` opens (or creates) a
-//! log-structured run corpus through `corpus::Corpus::open`, with
-//! `--corpus-segment-bytes` / `--corpus-max-bytes` /
-//! `--corpus-cache-slots` sizing its segments, total footprint, and
-//! in-memory memo cache. The pre-namespacing spellings `--corpus DIR`
-//! and `--cache-slots N` keep working as hidden aliases of
-//! `--corpus-dir` and `--corpus-cache-slots`.
+//! `--corpus-dir` opens a log-structured run corpus; the three other
+//! `--corpus-*` flags size its segments, footprint and memo cache.
+//! `--corpus` and `--cache-slots` are kept as aliases.
 //!
-//! Submissions are read, in order, from `--batch FILE` (`-` for
-//! stdin), then served from `--socket PATH`, then — when neither was
-//! given — from stdin. Each line is either a bare `CampaignSpec` (the
-//! exact JSON `--spec` files use; the id defaults to `c<seq>`) or a
-//! wrapper `{"id": "...", "priority": N, "tenant": "...",
-//! "spec": {...}}`. Blank lines and `#` comments are skipped.
+//! Submissions are read from `--batch FILE` (`-` for stdin), then from
+//! `--socket PATH`, or else from stdin. A line is a bare `CampaignSpec`
+//! (the id defaults to `c<seq>`) or `{"id", "priority", "tenant",
+//! "spec"}`; blank lines and `#` comments are skipped.
 //!
-//! With `--socket`, `icd` is a **multi-client daemon**: a threaded
-//! accept loop gives every connection its own handler with
-//! per-connection fault isolation — one client's I/O error, mid-line
-//! disconnect, idle stall (`--idle-timeout-ms`), or malformed-line
-//! flood (`--max-bad-lines`) drops *that* client, counted in metrics,
-//! while the daemon keeps serving. Each submission line gets a
-//! one-line disposition reply; a literal `status` line returns a live
-//! JSON snapshot (queue depth, in-flight, per-tenant accepted/shed,
-//! registry counters); a literal `drain` line — or SIGTERM/SIGINT —
-//! stops intake, answers `{"draining":true}` to connected clients,
-//! drains the orchestrator, and removes the socket file on every exit
-//! path. Binding refuses to clobber a *live* daemon's socket (a probe
-//! connect must fail before a stale file is removed).
+//! Both network front ends run on `sched::Server`, which owns every
+//! connection: a cap of `sched::MAX_CONNECTIONS`, an 8 KiB request cap,
+//! an idle timeout, and one `ConnClose` per ended connection. This file
+//! supplies the socket's line protocol only. Each submission line gets
+//! a disposition reply, `status` a live JSON snapshot, and `drain` (or
+//! SIGTERM/SIGINT) stops intake: connected clients are told
+//! `{"draining":true}`, the orchestrator drains and the socket file is
+//! removed. A mid-line disconnect, an over-long line, an idle stall
+//! (`--idle-timeout-ms`, 30 s), a malformed-line flood
+//! (`--max-bad-lines`) or a connection over the cap drops only that
+//! client, counted in `icd.conn.closed.*`. Binding refuses a socket a
+//! live daemon is serving and reclaims a stale one.
 //!
-//! With `--connect`, `icd` is the matching client: it forwards each
-//! input line to the daemon, prints one reply line per request, and —
-//! when the input ends in an unterminated fragment — sends the bytes
-//! and disconnects mid-line, which the daemon must shrug off.
+//! `--connect` is the matching client: one reply line printed per input
+//! line; an unterminated last fragment is sent and the client hangs up
+//! mid-line.
 //!
-//! With `--http ADDR` (e.g. `127.0.0.1:9090`), the daemon additionally
-//! serves a read-only wall-clock **telemetry plane** over plain
-//! HTTP/1.1: `GET /status` (the status snapshot), `GET /metrics`
-//! (Prometheus text exposition v0.0.4, including the
-//! `icd_cache_acquire_seconds`, `icd_cache_wait_seconds`, and
-//! `icd_queue_dwell_seconds` wait histograms plus `icd_cache_*`
-//! contention counters and, with a corpus attached, `icd_corpus_*`
-//! log-structure gauges), and `GET /profile` (full telemetry snapshot
-//! with worker lanes plus the shared-cache contention table,
-//! consumable by `icprof --profile`). The listener reuses the socket path's
-//! per-connection fault-isolation discipline and keeps answering
-//! during drain. `--heartbeat-ms N` appends one telemetry snapshot
-//! line per interval to `<out>/heartbeat.jsonl` for post-mortems.
-//! Telemetry is strictly a side-channel: with all of it enabled, the
-//! deterministic artifacts below are byte-identical to a solo run.
+//! `--http ADDR` serves the read-only wall-clock telemetry plane
+//! (`/status`, `/metrics`, `/profile`; 5 s idle timeout) through the
+//! drain, and `--heartbeat-ms N` appends a telemetry snapshot line to
+//! `<out>/heartbeat.jsonl` per interval. Neither touches the artifacts.
 //!
 //! Artifacts land under `--out` (default `results/icd`), each written
-//! atomically (tmp + rename): per-campaign `<id>.report.json`
-//! (byte-identical to the same spec run alone, at any `--width` and
-//! any client interleaving) and optional `<id>.trace.jsonl`, plus the
-//! batch summary `batch.jsonl` (one result line per submission, in
-//! submission-sequence order), the deterministic batch span trace
-//! `batch.trace.jsonl`, and the wall-clock side of the story in
-//! `metrics.json` (shed counts, connection counts — everything that is
-//! *allowed* to vary run to run) and `profile.json` (the `/profile`
-//! body: wait histograms, worker lanes, cache contention).
+//! atomically: `<id>.report.json` (byte-identical to the spec run alone,
+//! at any `--width` and client interleaving), `<id>.trace.jsonl` with
+//! `--trace`, `batch.jsonl` (one line per submission, in sequence
+//! order), `batch.trace.jsonl`, and the run-to-run variable
+//! `metrics.json` and `profile.json`.
 //!
-//! Exit status: 0 when every submission completed, 1 when any
-//! campaign failed, was invalid, was shed, or a submission line did
-//! not parse, 2 on usage or I/O errors (including refusing to clobber
-//! a live daemon's socket).
+//! Exit status: 0 when every submission completed; 1 when a campaign
+//! failed, was invalid or shed, or a line did not parse; 2 on usage or
+//! I/O errors, refusing a live daemon's socket included.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read as _, Write as _};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use corpus::{Corpus, CorpusOptions};
+use corpus::CorpusOptions;
 use instantcheck::CampaignSpec;
 use obs::json::{parse, Value};
 use obs::Heartbeat;
 use sched::{
-    CampaignStatus, Disposition, HttpOptions, HttpServer, Orchestrator, OrchestratorConfig,
-    ProgramSource, Resolver, Service, Submission,
+    CampaignStatus, ConnClose, Disposition, FrontEnd, HttpServer, Listener, Orchestrator,
+    OrchestratorConfig, ProgramSource, Reply, Resolver, Server, ServerOptions, Service, Submission,
 };
 
-/// How often blocked connection reads wake up to check the drain flag
-/// and the idle clock.
-const TICK: Duration = Duration::from_millis(50);
-
+#[derive(Default)]
 struct IcdCli {
     config: OrchestratorConfig,
     corpus_dir: Option<String>,
@@ -119,28 +87,12 @@ struct IcdCli {
     batch: Option<String>,
     socket: Option<String>,
     connect: Option<String>,
-    daemon: DaemonOpts,
+    /// The socket server's bounds (the HTTP plane keeps the defaults).
+    server: ServerOptions,
     /// Address of the read-only HTTP telemetry plane, when enabled.
     http: Option<String>,
     /// Heartbeat snapshot interval, when enabled.
     heartbeat: Option<Duration>,
-}
-
-#[derive(Clone)]
-struct DaemonOpts {
-    /// Disconnect a client that has sent nothing for this long.
-    idle_timeout: Duration,
-    /// Disconnect a client after this many malformed lines.
-    max_bad_lines: usize,
-}
-
-impl Default for DaemonOpts {
-    fn default() -> Self {
-        DaemonOpts {
-            idle_timeout: Duration::from_millis(30_000),
-            max_bad_lines: 100,
-        }
-    }
 }
 
 fn usage() -> ! {
@@ -159,18 +111,12 @@ fn usage() -> ! {
 fn parse_cli() -> IcdCli {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cli = IcdCli {
-        config: OrchestratorConfig::default(),
-        corpus_dir: None,
-        corpus_segment_bytes: None,
-        corpus_max_bytes: None,
-        corpus_cache_slots: None,
         out: "results/icd".to_owned(),
-        batch: None,
-        socket: None,
-        connect: None,
-        daemon: DaemonOpts::default(),
-        http: None,
-        heartbeat: None,
+        server: ServerOptions {
+            idle_timeout: Duration::from_secs(30),
+            ..ServerOptions::default()
+        },
+        ..IcdCli::default()
     };
     let mut i = 0;
     while i < args.len() {
@@ -189,9 +135,9 @@ fn parse_cli() -> IcdCli {
             "--trace" => cli.config.trace = true,
             "--tenant-quota" => cli.config.tenant_quota = Some(num(&mut i)),
             "--idle-timeout-ms" => {
-                cli.daemon.idle_timeout = Duration::from_millis(num(&mut i).max(1));
+                cli.server.idle_timeout = Duration::from_millis(num(&mut i).max(1));
             }
-            "--max-bad-lines" => cli.daemon.max_bad_lines = num(&mut i) as usize,
+            "--max-bad-lines" => cli.server.max_bad_lines = num(&mut i) as usize,
             // `--corpus` and `--cache-slots` predate the namespaced
             // storage flags; both spellings feed the same options.
             "--corpus-dir" | "--corpus" => cli.corpus_dir = Some(value(&mut i)),
@@ -288,8 +234,18 @@ fn error_json(message: &str) -> String {
     out
 }
 
+/// Parses and submits one submission line; a line that does not parse
+/// counts in `icd.bad_lines`.
+fn submit_line(svc: &Service, line: &str) -> Result<(String, Disposition), String> {
+    let parsed = parse_submission(line);
+    if parsed.is_err() {
+        svc.registry().add("icd.bad_lines", 1);
+    }
+    parsed.map(|sub| svc.submit(sub))
+}
+
 /// Submits every submission line of one reader (the single-client
-/// batch/stdin path); counts parse failures in `icd.bad_lines`.
+/// batch/stdin path).
 fn intake(reader: impl BufRead, svc: &Service) -> std::io::Result<()> {
     for line in reader.lines() {
         let line = line?;
@@ -297,279 +253,146 @@ fn intake(reader: impl BufRead, svc: &Service) -> std::io::Result<()> {
         if text.is_empty() || text.starts_with('#') {
             continue;
         }
-        match parse_submission(text) {
-            Ok(sub) => {
-                let (id, d) = svc.submit(sub);
-                if let Disposition::Shed(reason) = d {
-                    eprintln!("icd: shed {id:?} ({})", reason.label());
-                }
-            }
-            Err(e) => {
-                svc.registry().add("icd.bad_lines", 1);
-                eprintln!("icd: bad submission line: {e}");
-            }
+        match submit_line(svc, text) {
+            Ok((id, Disposition::Shed(why))) => eprintln!("icd: shed {id:?} ({})", why.label()),
+            Ok(_) => {}
+            Err(e) => eprintln!("icd: bad submission line: {e}"),
         }
     }
     Ok(())
 }
 
-/// The flag-based signal hook: SIGTERM/SIGINT set an atomic the accept
-/// loop polls, turning an operator kill into a graceful drain. Uses
-/// the libc `signal` entry point the Rust runtime already links — no
-/// external crates.
-mod signals {
-    use std::sync::atomic::{AtomicBool, Ordering};
+/// The socket line protocol: a submission, `status` or `drain` line
+/// in, one reply line out.
+struct Lines(Arc<Service>);
 
-    static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+impl FrontEnd for Lines {
+    fn request_len(&self, buf: &[u8]) -> Option<usize> {
+        buf.iter().position(|&b| b == b'\n').map(|i| i + 1)
+    }
+
+    fn answer(&self, line: &[u8]) -> Reply {
+        let svc = &self.0;
+        let line = String::from_utf8_lossy(line);
+        match line.trim() {
+            text if text.is_empty() || text.starts_with('#') => Reply::Next(String::new()),
+            "status" => Reply::Next(svc.status_json() + "\n"),
+            "drain" => {
+                svc.begin_drain();
+                Reply::Stop
+            }
+            text => match submit_line(svc, text) {
+                Ok((id, d)) => Reply::Next(disposition_json(&id, d) + "\n"),
+                Err(e) => Reply::Malformed(error_json(&e) + "\n"),
+            },
+        }
+    }
+
+    fn farewell(&self, close: ConnClose) -> String {
+        let why = match close {
+            ConnClose::Draining => return "{\"draining\":true}\n".to_owned(),
+            ConnClose::Refused => "too many connections",
+            ConnClose::TooLarge => "line too long",
+            ConnClose::IdleTimeout => "idle timeout",
+            _ => "too many malformed lines",
+        };
+        error_json(why) + "\n"
+    }
+
+    fn count(&self, event: &str) {
+        self.0.registry().add(&format!("icd.conn.{event}"), 1);
+    }
+}
+
+/// SIGTERM/SIGINT as a drain: the handler writes one byte to a socket
+/// pair (`write(2)` is async-signal-safe), and a watcher thread blocked
+/// on the other end runs the drain. Uses the libc entry points the Rust
+/// runtime already links — no external crates.
+mod signals {
+    use std::io::Read as _;
+    use std::os::fd::IntoRawFd as _;
+    use std::os::unix::net::UnixStream;
+    use std::sync::atomic::{AtomicI32, Ordering};
+
+    static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
 
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
 
     extern "C" fn on_signal(_signum: i32) {
-        // Async-signal-safe: a single atomic store, nothing else.
-        SHUTDOWN.store(true, Ordering::SeqCst);
+        let byte = 1u8;
+        // SAFETY: write(2) is async-signal-safe, `byte` outlives the
+        // call, and WAKE_FD is set before the handler is installed and
+        // never closed. A full buffer drops the byte (non-blocking).
+        unsafe { write(WAKE_FD.load(Ordering::SeqCst), &byte, 1) };
     }
 
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
+        fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     }
 
-    /// Installs the handler for SIGTERM and SIGINT (idempotent).
-    pub fn install() {
+    /// Runs `drain` on a watcher thread at the first SIGTERM/SIGINT.
+    pub fn on_shutdown(drain: impl FnOnce() + Send + 'static) -> std::io::Result<()> {
+        let (tx, mut rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        WAKE_FD.store(tx.into_raw_fd(), Ordering::SeqCst);
         let handler = on_signal as extern "C" fn(i32) as usize;
+        // SAFETY: `handler` is an `extern "C" fn(i32)` that only makes
+        // an async-signal-safe call.
         unsafe {
             signal(SIGTERM, handler);
             signal(SIGINT, handler);
         }
-    }
-
-    /// Whether a shutdown signal has arrived.
-    pub fn requested() -> bool {
-        SHUTDOWN.load(Ordering::SeqCst)
+        std::thread::spawn(move || {
+            if rx.read(&mut [0u8]).is_ok_and(|n| n == 1) {
+                drain();
+            }
+        });
+        Ok(())
     }
 }
 
 /// Removes the socket path on drop, so the file disappears on every
 /// exit path — normal drain, signal, or panic unwind.
-struct SocketGuard {
-    path: Option<PathBuf>,
-}
-
-impl SocketGuard {
-    fn new(path: &str) -> Self {
-        SocketGuard {
-            path: Some(PathBuf::from(path)),
-        }
-    }
-
-    fn remove(&mut self) {
-        if let Some(path) = self.path.take() {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
+struct SocketGuard(PathBuf);
 
 impl Drop for SocketGuard {
     fn drop(&mut self) {
-        self.remove();
+        let _ = std::fs::remove_file(&self.0);
     }
 }
 
-/// Binds the daemon socket, refusing to clobber a *live* daemon: if
-/// the path exists and a probe connect succeeds, someone is serving it
-/// and we bail out; only a dead (connection-refused) leftover is
-/// removed and re-bound.
+/// Binds the daemon socket, refusing to clobber a *live* daemon: if a
+/// probe connect succeeds, someone is serving the path and we bail
+/// out; a file nobody answers on is a dead daemon's leftover and is
+/// reclaimed.
 fn bind_socket(path: &str) -> std::io::Result<UnixListener> {
+    if UnixStream::connect(path).is_ok() {
+        let live = format!("{path}: a live daemon is already listening");
+        return Err(std::io::Error::new(ErrorKind::AddrInUse, live));
+    }
     if Path::new(path).exists() {
-        match UnixStream::connect(path) {
-            Ok(_) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::AddrInUse,
-                    format!("{path}: a live daemon is already listening"),
-                ));
-            }
-            Err(_) => {
-                // Stale socket from a dead process — safe to reclaim.
-                std::fs::remove_file(path)?;
-            }
-        }
+        std::fs::remove_file(path)?;
     }
     UnixListener::bind(path)
 }
 
-/// Why one client connection ended; each variant maps to a metric so
-/// operators can see *how* clients leave.
-enum ConnClose {
-    /// Clean end of stream after a final newline.
-    Eof,
-    /// The client vanished mid-line; the partial line is dropped.
-    PartialEof,
-    /// No bytes for `--idle-timeout-ms`.
-    IdleTimeout,
-    /// The daemon is draining; the client was told.
-    Draining,
-    /// Too many malformed lines; the client was disconnected.
-    Kicked,
-    /// A transport error on this connection only.
-    Error(std::io::Error),
-}
-
-/// Serves one client connection until it ends. All failure modes stay
-/// on this connection: returning `ConnClose` never unwinds into the
-/// accept loop.
-fn serve_connection(stream: UnixStream, svc: &Service, opts: &DaemonOpts) -> ConnClose {
-    if let Err(e) = stream.set_read_timeout(Some(TICK)) {
-        return ConnClose::Error(e);
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => return ConnClose::Error(e),
-    };
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut bad_lines = 0usize;
-    let mut idle = Duration::ZERO;
-    loop {
-        buf.clear();
-        // Accumulate one full line, surviving read timeouts: each tick
-        // checks the drain flag and the idle clock, so a stalled client
-        // cannot pin this handler forever.
-        loop {
-            let before = buf.len();
-            match reader.read_until(b'\n', &mut buf) {
-                Ok(0) => {
-                    return if buf.is_empty() {
-                        ConnClose::Eof
-                    } else {
-                        ConnClose::PartialEof
-                    };
-                }
-                Ok(_) if buf.last() == Some(&b'\n') => break,
-                // `read_until` returns early only at the delimiter or
-                // EOF; data without a trailing newline means the
-                // stream ended mid-line.
-                Ok(_) => return ConnClose::PartialEof,
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if svc.is_draining() {
-                        let _ = writeln!(writer, "{{\"draining\":true}}");
-                        return ConnClose::Draining;
-                    }
-                    if buf.len() == before {
-                        idle += TICK;
-                        if idle >= opts.idle_timeout {
-                            let _ = writeln!(writer, "{}", error_json("idle timeout"));
-                            return ConnClose::IdleTimeout;
-                        }
-                    } else {
-                        idle = Duration::ZERO;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return ConnClose::Error(e),
-            }
-        }
-        idle = Duration::ZERO;
-        let line = String::from_utf8_lossy(&buf);
-        let text = line.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
-        }
-        let reply = match text {
-            "status" => svc.status_json(),
-            "drain" => {
-                svc.begin_drain();
-                "{\"draining\":true}".to_owned()
-            }
-            _ => match parse_submission(text) {
-                Ok(sub) => {
-                    let (id, d) = svc.submit(sub);
-                    disposition_json(&id, d)
-                }
-                Err(e) => {
-                    bad_lines += 1;
-                    svc.registry().add("icd.bad_lines", 1);
-                    error_json(&e)
-                }
-            },
-        };
-        if let Err(e) = writeln!(writer, "{reply}") {
-            return ConnClose::Error(e);
-        }
-        if text == "drain" {
-            return ConnClose::Draining;
-        }
-        if bad_lines >= opts.max_bad_lines {
-            let _ = writeln!(writer, "{}", error_json("too many malformed lines"));
-            return ConnClose::Kicked;
-        }
-    }
-}
-
-/// One handler thread per connection: serve it, then fold its fate
-/// into the metrics. Nothing a client does propagates past here.
-fn handle_client(stream: UnixStream, svc: &Arc<Service>, opts: &DaemonOpts, conn: u64) {
-    let reg = Arc::clone(svc.registry());
-    let close = serve_connection(stream, svc, opts);
-    let label = match close {
-        ConnClose::Eof => "eof",
-        ConnClose::PartialEof => "partial",
-        ConnClose::IdleTimeout => "idle-timeout",
-        ConnClose::Draining => "draining",
-        ConnClose::Kicked => "kicked",
-        ConnClose::Error(e) => {
-            eprintln!("icd: connection {conn}: {e}");
-            "error"
-        }
-    };
-    reg.add("icd.conn.closed", 1);
-    reg.add(&format!("icd.conn.closed.{label}"), 1);
-}
-
-/// The daemon accept loop: non-blocking accept so SIGTERM/SIGINT and
-/// socket-initiated drains are noticed within one tick, one handler
-/// thread per connection, and per-connection fault isolation — accept
-/// errors are counted and served around, never fatal.
-fn serve_daemon(path: &str, svc: &Arc<Service>, opts: &DaemonOpts) -> std::io::Result<()> {
-    signals::install();
+/// Serves the socket until a `drain` line or a signal stops it and
+/// every connection has been told.
+fn serve_socket(path: &str, svc: &Arc<Service>, options: ServerOptions) -> std::io::Result<()> {
     let listener = bind_socket(path)?;
-    let mut guard = SocketGuard::new(path);
-    listener.set_nonblocking(true)?;
-    eprintln!("icd: serving {path} (lines: submissions, `status`, `drain`; SIGTERM/SIGINT drain)");
-    let reg = Arc::clone(svc.registry());
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    let mut next_conn = 0u64;
-    while !signals::requested() && !svc.is_draining() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                reg.add("icd.conn.opened", 1);
-                let svc = Arc::clone(svc);
-                let opts = opts.clone();
-                let conn = next_conn;
-                next_conn += 1;
-                handlers.push(std::thread::spawn(move || {
-                    handle_client(stream, &svc, &opts, conn);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(TICK),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => {
-                reg.add("icd.conn.accept_errors", 1);
-                eprintln!("icd: accept failed: {e}");
-                std::thread::sleep(TICK);
-            }
-        }
-    }
-    if signals::requested() {
-        svc.begin_drain();
+    let _guard = SocketGuard(PathBuf::from(path));
+    let lines = Arc::new(Lines(Arc::clone(svc)));
+    let server = Arc::new(Server::start(Listener::Unix(listener), lines, options)?);
+    let (stopper, drainer) = (Arc::clone(&server), Arc::clone(svc));
+    signals::on_shutdown(move || {
         eprintln!("icd: shutdown signal received, draining");
-    }
-    // Unlink before joining the handlers so new connects fail fast
-    // instead of queueing in a backlog nobody will ever accept.
-    drop(listener);
-    guard.remove();
-    for h in handlers {
-        let _ = h.join();
-    }
+        drainer.begin_drain();
+        stopper.stop();
+    })?;
+    eprintln!("icd: serving {path} (lines: submissions, `status`, `drain`; SIGTERM/SIGINT drain)");
+    server.wait();
     Ok(())
 }
 
@@ -578,102 +401,75 @@ fn serve_daemon(path: &str, svc: &Arc<Service>, opts: &DaemonOpts) -> std::io::R
 /// bytes followed by a disconnect — the deliberate mid-line-drop probe
 /// the daemon-mode tests and CI use.
 fn run_client(path: &str, batch: Option<&str>) -> ExitCode {
-    let mut input = Vec::new();
-    let read = match batch {
-        Some("-") | None => std::io::stdin().lock().read_to_end(&mut input),
-        Some(file) => std::fs::File::open(file).and_then(|mut f| f.read_to_end(&mut input)),
-    };
-    if let Err(e) = read {
-        eprintln!("icd: cannot read input: {e}");
-        return ExitCode::from(2);
-    }
-    let stream = match UnixStream::connect(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("icd: cannot connect to {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("icd: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut reader = BufReader::new(stream);
-    let mut degraded = false;
-    let mut rest: &[u8] = &input;
-    while let Some(nl) = rest.iter().position(|&b| b == b'\n') {
-        let (line, tail) = rest.split_at(nl + 1);
-        rest = tail;
-        let text = String::from_utf8_lossy(&line[..nl]);
-        let text = text.trim();
-        if text.is_empty() || text.starts_with('#') {
-            continue;
-        }
-        let io: std::io::Result<String> = (|| {
-            writer.write_all(text.as_bytes())?;
-            writer.write_all(b"\n")?;
+    let degraded = (|| -> std::io::Result<bool> {
+        let mut input = Vec::new();
+        match batch {
+            Some("-") | None => std::io::stdin().lock().read_to_end(&mut input)?,
+            Some(file) => std::fs::File::open(file)?.read_to_end(&mut input)?,
+        };
+        let stream = UnixStream::connect(path)?;
+        let mut writer = stream.try_clone()?;
+        let mut reader = BufReader::new(stream);
+        let mut degraded = false;
+        for line in input.split_inclusive(|&b| b == b'\n') {
+            if !line.ends_with(b"\n") {
+                let _ = writer.write_all(line);
+                eprintln!(
+                    "icd: sent {} unterminated byte(s) and disconnected",
+                    line.len()
+                );
+                break;
+            }
+            let text = String::from_utf8_lossy(line);
+            let text = text.trim();
+            if text.is_empty() || text.starts_with('#') {
+                continue;
+            }
+            writeln!(writer, "{text}")?;
             let mut reply = String::new();
             reader.read_line(&mut reply)?;
-            Ok(reply)
-        })();
-        match io {
-            Ok(reply) => {
-                let reply = reply.trim_end();
-                println!("{reply}");
-                if reply.contains("\"error\"") || reply.contains("\"shed\"") {
-                    degraded = true;
-                }
-            }
-            Err(e) => {
-                eprintln!("icd: connection lost: {e}");
-                return ExitCode::from(2);
-            }
+            let reply = reply.trim_end();
+            println!("{reply}");
+            // A `status` snapshot counts sheds too; only dispositions count.
+            degraded |=
+                reply.starts_with("{\"error\"") || reply.contains("\"disposition\":\"shed\"");
         }
-    }
-    if !rest.is_empty() {
-        // Unterminated fragment: send it and hang up mid-line.
-        let _ = writer.write_all(rest);
-        let _ = writer.flush();
-        eprintln!(
-            "icd: sent {} unterminated byte(s) and disconnected",
-            rest.len()
-        );
-    }
-    if degraded {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        Ok(degraded)
+    })();
+    match degraded {
+        Ok(false) => ExitCode::SUCCESS,
+        Ok(true) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("icd: {path}: {e}");
+            ExitCode::from(2)
+        }
     }
 }
 
 /// A campaign id as a safe artifact file stem.
 fn file_stem(id: &str) -> String {
-    id.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-') {
-                c
-            } else {
-                '-'
-            }
-        })
-        .collect()
+    let safe = |c: char| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-');
+    id.chars().map(|c| if safe(c) { c } else { '-' }).collect()
 }
 
 fn main() -> ExitCode {
     let cli = parse_cli();
-    if let Some(path) = &cli.connect {
-        return run_client(path, cli.batch.as_deref());
+    match &cli.connect {
+        Some(path) => run_client(path, cli.batch.as_deref()),
+        None => run(&cli).unwrap_or_else(|e| {
+            eprintln!("icd: {e}");
+            ExitCode::from(2)
+        }),
     }
-    let out_dir = std::path::PathBuf::from(&cli.out);
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("cannot create {}: {e}", out_dir.display());
-        return ExitCode::from(2);
-    }
+}
 
-    let corpus: Option<Arc<Corpus>> = match &cli.corpus_dir {
+/// Takes submissions from every configured source, drains, and writes
+/// the artifacts. An `Err` is a usage or I/O failure (exit 2).
+fn run(cli: &IcdCli) -> Result<ExitCode, String> {
+    let out_dir = PathBuf::from(&cli.out);
+    std::fs::create_dir_all(&out_dir)
+        .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
+    let corpus = match &cli.corpus_dir {
         Some(dir) => {
             let mut options = CorpusOptions::at(dir);
             if let Some(n) = cli.corpus_segment_bytes {
@@ -685,13 +481,7 @@ fn main() -> ExitCode {
             if let Some(n) = cli.corpus_cache_slots {
                 options = options.cache_slots(n as usize);
             }
-            match options.open() {
-                Ok(corpus) => Some(Arc::new(corpus)),
-                Err(e) => {
-                    eprintln!("icd: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+            Some(Arc::new(options.open().map_err(|e| e.to_string())?))
         }
         None => None,
     };
@@ -705,68 +495,45 @@ fn main() -> ExitCode {
     // intake and keeps serving through the drain.
     let mut http_server = match &cli.http {
         Some(addr) => {
-            match HttpServer::bind(addr.as_str(), Arc::clone(&svc), HttpOptions::default()) {
-                Ok(server) => {
-                    eprintln!(
-                        "icd: telemetry on http://{} (/status /metrics /profile)",
-                        server.local_addr()
-                    );
-                    Some(server)
-                }
-                Err(e) => {
-                    eprintln!("icd: cannot bind http {addr}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
+            let server =
+                HttpServer::bind(addr.as_str(), Arc::clone(&svc), ServerOptions::default())
+                    .map_err(|e| format!("cannot bind http {addr}: {e}"))?;
+            let bound = server.local_addr();
+            eprintln!("icd: telemetry on http://{bound} (/status /metrics /profile)");
+            Some(server)
         }
         None => None,
     };
     let mut heartbeat = match cli.heartbeat {
         Some(interval) => {
             let path = out_dir.join("heartbeat.jsonl");
-            match Heartbeat::start(Arc::clone(svc.telemetry()), path.clone(), interval) {
-                Ok(hb) => Some(hb),
-                Err(e) => {
-                    eprintln!("icd: cannot start heartbeat at {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
+            let hb = Heartbeat::start(Arc::clone(svc.telemetry()), path.clone(), interval)
+                .map_err(|e| format!("cannot start heartbeat at {}: {e}", path.display()))?;
+            Some(hb)
         }
         None => None,
     };
 
-    let io_result: std::io::Result<()> = (|| {
-        if let Some(batch) = &cli.batch {
-            if batch == "-" {
-                intake(std::io::stdin().lock(), &svc)?;
-            } else {
-                let file = std::fs::File::open(batch)?;
-                intake(BufReader::new(file), &svc)?;
-            }
+    let intake_all = || -> std::io::Result<()> {
+        match cli.batch.as_deref() {
+            Some("-") => intake(std::io::stdin().lock(), &svc)?,
+            Some(batch) => intake(BufReader::new(std::fs::File::open(batch)?), &svc)?,
+            None => {}
         }
-        if let Some(path) = &cli.socket {
-            serve_daemon(path, &svc, &cli.daemon)?;
-        } else if cli.batch.is_none() {
-            intake(std::io::stdin().lock(), &svc)?;
+        match &cli.socket {
+            Some(path) => serve_socket(path, &svc, cli.server.clone()),
+            None if cli.batch.is_none() => intake(std::io::stdin().lock(), &svc),
+            None => Ok(()),
         }
-        Ok(())
-    })();
-    if let Err(e) = io_result {
-        eprintln!("icd: intake failed: {e}");
-        return ExitCode::from(2);
-    }
+    };
+    intake_all().map_err(|e| format!("intake failed: {e}"))?;
 
     eprintln!("icd: draining {} submission(s)…", svc.submitted());
     let registry = Arc::clone(svc.registry());
     let results = svc.drain();
 
-    let bad_lines = registry.counter("icd.bad_lines").get();
-    let mut failed = bad_lines > 0;
     let mut summary = String::new();
     for r in &results {
-        if r.status != CampaignStatus::Completed {
-            failed = true;
-        }
         let line = r.summary_json();
         println!("{line}");
         summary.push_str(&line);
@@ -799,6 +566,7 @@ fn main() -> ExitCode {
         server.shutdown();
     }
 
+    let bad_lines = registry.counter("icd.bad_lines").get();
     let completed = results
         .iter()
         .filter(|r| r.status == CampaignStatus::Completed)
@@ -823,11 +591,11 @@ fn main() -> ExitCode {
             );
         }
     }
-    if failed {
+    Ok(if bad_lines > 0 || completed < results.len() {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
+    })
 }
 
 /// Writes one artifact atomically (tmp + rename in the target

@@ -3,9 +3,11 @@
 //! two hardening contracts:
 //!
 //! * **Fault isolation** — a mid-line disconnect, a malformed-line
-//!   flood, an idle stall, and quota exhaustion each drop *that*
-//!   client with an explicit outcome, while every other client's
-//!   report/trace artifacts stay byte-identical to solo checker runs.
+//!   flood, an idle stall, quota exhaustion, a line over the byte cap,
+//!   JSON nested past the parser's depth limit, and connections past
+//!   the server's cap each drop *that* client with an explicit
+//!   outcome, while every other client's report/trace artifacts stay
+//!   byte-identical to solo checker runs.
 //! * **Graceful shutdown** — SIGTERM (and the socket `drain` command)
 //!   stops intake, answers `{"draining":true}`, finishes every
 //!   accepted campaign, and removes the socket file on every exit
@@ -403,6 +405,123 @@ fn idle_clients_are_disconnected_at_the_deadline() {
     let exit = wait_for_exit(&mut daemon);
     assert_eq!(exit.code(), Some(0));
     assert!(!sock.exists());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Polls `status` over `client` until `reached` holds, then returns
+/// that snapshot.
+fn poll_status(client: &mut Client, reached: impl Fn(&Value) -> bool) -> Value {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let s = obs::json::parse(&client.request("status")).expect("status parses");
+        if reached(&s) {
+            return s;
+        }
+        assert!(Instant::now() < deadline, "not reached in 120 s: {s:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// Connections the daemon holds open: opened minus closed.
+fn live(s: &Value) -> u64 {
+    counter(s, "icd.conn.opened") - counter(s, "icd.conn.closed")
+}
+
+/// Three hostile clients, each of which costs only itself: a 200 KB
+/// line of `[` (which overflowed a handler's stack and aborted the
+/// daemon before the parser had a depth limit) is closed as
+/// `too-large`; a short line nested past the depth limit is answered
+/// as a bad line; and of `MAX_CONNECTIONS + 4` held connections exactly
+/// 4 are refused. Well-behaved campaigns then complete, and SIGTERM
+/// drains and removes the socket.
+#[test]
+fn oversized_deep_and_flooding_clients_cost_only_themselves() {
+    let dir = tempdir("bounds");
+    let sock = dir.join("icd.sock");
+    let out = dir.join("out");
+    let mut daemon = spawn_daemon(&sock, &out, &[]);
+    wait_for_socket(&sock);
+
+    // The daemon hangs up at the byte cap, so the write may fail.
+    {
+        let mut stream = UnixStream::connect(&sock).unwrap();
+        let mut line = vec![b'['; 200_000];
+        line.push(b'\n');
+        let _ = stream.write_all(&line);
+    }
+    let depth = obs::json::MAX_DEPTH + 1;
+    let deep = "[".repeat(depth) + &"]".repeat(depth);
+    let reply = Client::connect(&sock).request(&deep);
+    assert!(reply.contains("nesting deeper than"), "{reply}");
+
+    // The flood's first connection polls `status`: first until it is
+    // the only one open, then until every other one was accepted.
+    let mut flood = vec![Client::connect(&sock)];
+    let s = poll_status(&mut flood[0], |s| {
+        live(s) == 1 && counter(s, "icd.conn.closed.too-large") == 1
+    });
+    assert_eq!(counter(&s, "icd.bad_lines"), 1);
+    for _ in 1..sched::MAX_CONNECTIONS + 4 {
+        flood.push(Client::connect(&sock));
+    }
+    let s = poll_status(&mut flood[0], |s| {
+        live(s) == sched::MAX_CONNECTIONS as u64 && counter(s, "icd.conn.closed.refused") >= 4
+    });
+    assert_eq!(counter(&s, "icd.conn.closed.refused"), 4);
+    for refused in &mut flood[sched::MAX_CONNECTIONS..] {
+        let mut reply = String::new();
+        refused.reader.read_line(&mut reply).unwrap();
+        assert!(reply.contains("too many connections"), "{reply:?}");
+    }
+    flood.truncate(1);
+    poll_status(&mut flood[0], |s| live(s) == 1);
+    drop(flood);
+
+    let good: Vec<(String, CampaignSpec)> = ["fft", "lu", "radix", "canneal"]
+        .iter()
+        .enumerate()
+        .map(|(i, app)| (format!("g{i}"), spec(app, 3)))
+        .collect();
+    let clients: Vec<_> = good
+        .chunks(2)
+        .map(|pair| {
+            let (sock, pair) = (sock.clone(), pair.to_vec());
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&sock);
+                for (id, spec) in &pair {
+                    let reply = client.request(&submission_line(id, "good", spec));
+                    assert!(reply.contains("\"enqueued\""), "{reply}");
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
+    }
+    poll_status(&mut Client::connect(&sock), |s| {
+        counter(s, "icd.completed") == good.len() as u64
+    });
+
+    // Exit 1 records the malformed line; the drain itself is complete.
+    sigterm(&daemon);
+    let exit = wait_for_exit(&mut daemon);
+    assert_eq!(exit.code(), Some(1), "drained, with one bad line on record");
+    assert!(!sock.exists(), "socket file removed on signal exit");
+    for (id, spec) in &good {
+        let (report, _) = solo_artifacts(id, spec);
+        let got = std::fs::read_to_string(out.join(format!("{id}.report.json"))).expect(id);
+        assert_eq!(got, report, "{id}: report bytes == solo bytes");
+    }
+    let metrics = std::fs::read_to_string(out.join("metrics.json")).unwrap();
+    assert!(
+        metrics.contains("\"icd.conn.closed.too-large\":1"),
+        "{metrics}"
+    );
+    assert!(
+        metrics.contains("\"icd.conn.closed.refused\":4"),
+        "{metrics}"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }

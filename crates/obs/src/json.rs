@@ -4,6 +4,8 @@
 //! module provides the small JSON subset the observability layer needs:
 //! a writer with deterministic output (callers control field order) and
 //! a recursive-descent parser used by `icprof` to load trace files.
+//! The parser refuses nesting deeper than [`MAX_DEPTH`] with an error
+//! naming the byte offset, so no input can overflow the stack.
 //!
 //! Numbers are kept as their raw source text ([`Value::Num`]) so that
 //! full-range `u64` values (seeds, hashes) round-trip exactly instead of
@@ -89,12 +91,17 @@ pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document from `input`. Trailing whitespace is
-/// allowed; any other trailing content is an error.
+/// allowed; any other trailing content, or nesting deeper than
+/// [`MAX_DEPTH`], is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -108,6 +115,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -141,8 +150,20 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -351,6 +372,58 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_without_exhausting_the_stack() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let err = parse(&format!("{{\"a\":{}}}", nested(MAX_DEPTH))).unwrap_err();
+        assert!(
+            err.ends_with(&format!("at byte {}", MAX_DEPTH + 4)),
+            "{err}"
+        );
+        // The unbounded parser overflowed a default-size thread stack on
+        // this input and aborted the process.
+        let deep = std::thread::spawn(|| parse(&"[".repeat(200_000)))
+            .join()
+            .expect("the parser returns instead of overflowing the stack");
+        assert!(deep.unwrap_err().starts_with("nesting deeper than"));
+    }
+
+    #[test]
+    fn committed_results_parse_within_the_depth_limit() {
+        fn visit(dir: &std::path::Path, parsed: &mut usize) {
+            for entry in std::fs::read_dir(dir).unwrap() {
+                let path = entry.unwrap().path();
+                let name = path.to_string_lossy();
+                if path.is_dir() {
+                    visit(&path, parsed);
+                } else if name.ends_with(".json") || name.ends_with(".jsonl") {
+                    let text = std::fs::read_to_string(&path).unwrap();
+                    let docs: Vec<&str> = if name.ends_with(".json") {
+                        vec![&text]
+                    } else {
+                        text.lines().collect()
+                    };
+                    for doc in docs {
+                        parse(doc).unwrap_or_else(|e| panic!("{name}: {e}"));
+                        *parsed += 1;
+                    }
+                }
+            }
+        }
+        let mut parsed = 0;
+        visit(
+            &std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"),
+            &mut parsed,
+        );
+        assert!(parsed > 0);
     }
 
     #[test]

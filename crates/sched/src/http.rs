@@ -1,142 +1,52 @@
-//! A dependency-free HTTP/1.1 read-only surface for the daemon.
+//! The read-only HTTP/1.1 telemetry plane, a [`FrontEnd`] of the
+//! shared [`Server`] serving three endpoints off a [`Service`]:
+//! `GET /status` (the status snapshot), `GET /metrics` (Prometheus text
+//! v0.0.4 of the telemetry plane and the registry) and `GET /profile`
+//! (the full telemetry snapshot and the shared-cache contention table,
+//! read by `icprof --profile`).
 //!
-//! One [`HttpServer`] serves three operator endpoints off a
-//! [`Service`]:
-//!
-//! * `GET /status` — the service's status snapshot (JSON).
-//! * `GET /metrics` — Prometheus text exposition v0.0.4 of the
-//!   telemetry plane plus the deterministic registry.
-//! * `GET /profile` — the full telemetry snapshot (histograms with
-//!   quantiles, worker lanes) and the shared-cache contention table
-//!   (JSON), consumable by `icprof --profile`.
-//!
-//! Fault isolation mirrors the daemon's Unix-socket discipline: one
-//! thread per connection, short read timeouts polled at a tick, a hard
-//! cap on request bytes, and an idle deadline — a malformed request
-//! line, an oversized header block, a mid-request disconnect, or a
-//! slow-loris stall each cost exactly that one connection. The server
-//! is read-only by construction (`GET` only), so it can keep answering
-//! during drain without interacting with intake.
+//! One request per connection (`Connection: close`). A malformed
+//! request line is `400`; the server's bounds answer `431` (byte cap),
+//! `408` (idle timeout) and `503` (connection cap, stopping). Closes
+//! count in `icd.http.closed.*` telemetry. Being read-only, the plane
+//! keeps answering while the service drains.
 
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::Arc;
+use std::time::Instant;
 
+use crate::server::{ConnClose, FrontEnd, Listener, Reply, Server, ServerOptions};
 use crate::Service;
 
-/// Poll granularity of the accept loop and connection reads.
-const TICK: Duration = Duration::from_millis(20);
+/// The Prometheus exposition content type the scrapers expect.
+pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
-/// HTTP server tuning.
-#[derive(Debug, Clone)]
-pub struct HttpOptions {
-    /// Hard cap on the request head (request line + headers); longer
-    /// requests are answered `431` and dropped.
-    pub max_request_bytes: usize,
-    /// A connection that has not delivered a complete request head
-    /// within this window is answered `408` and dropped — the
-    /// slow-loris guard.
-    pub idle_timeout: Duration,
-}
+const TEXT: &str = "text/plain; charset=utf-8";
+const JSON: &str = "application/json";
 
-impl Default for HttpOptions {
-    fn default() -> Self {
-        HttpOptions {
-            max_request_bytes: 8192,
-            idle_timeout: Duration::from_secs(5),
-        }
-    }
-}
-
-/// Why a connection ended; labels feed `icd.http.closed.*` telemetry
-/// counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnClose {
-    Served,
-    BadRequest,
-    TooLarge,
-    IdleTimeout,
-    Disconnect,
-    WriteError,
-}
-
-impl ConnClose {
-    fn label(self) -> &'static str {
-        match self {
-            ConnClose::Served => "served",
-            ConnClose::BadRequest => "bad-request",
-            ConnClose::TooLarge => "too-large",
-            ConnClose::IdleTimeout => "idle-timeout",
-            ConnClose::Disconnect => "disconnect",
-            ConnClose::WriteError => "write-error",
-        }
-    }
-}
-
-/// The read-only HTTP/1.1 listener. Dropping (or
-/// [`shutdown`](HttpServer::shutdown)) stops the accept loop and joins
-/// every connection handler.
+/// The telemetry plane bound to a TCP address. Dropping it (or
+/// [`shutdown`](HttpServer::shutdown)) stops the server and waits for
+/// every handler.
 pub struct HttpServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
+    server: Server,
 }
 
 impl HttpServer {
-    /// Binds `addr` (e.g. `127.0.0.1:9090`; port `0` picks a free one
-    /// — read it back with [`local_addr`](HttpServer::local_addr)) and
-    /// starts serving `service`.
+    /// Binds `addr` (port `0` picks a free one) and serves `service`.
     ///
     /// # Errors
     ///
-    /// Returns the I/O error when the address cannot be bound.
+    /// When the address cannot be bound.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         service: Arc<Service>,
-        options: HttpOptions,
+        options: ServerOptions,
     ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let accept = std::thread::spawn(move || {
-            let conns: Mutex<Vec<JoinHandle<()>>> = Mutex::new(Vec::new());
-            while !flag.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let service = Arc::clone(&service);
-                        let options = options.clone();
-                        let mut conns = conns.lock().unwrap();
-                        // Opportunistically reap finished handlers so
-                        // the vec stays bounded by live connections.
-                        conns.retain(|h| !h.is_finished());
-                        conns.push(std::thread::spawn(move || {
-                            let close = serve_connection(stream, &service, &options);
-                            service
-                                .telemetry()
-                                .counter(&format!("icd.http.closed.{}", close.label()))
-                                .inc();
-                        }));
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(TICK),
-                    // A failed accept (EMFILE, aborted handshake) must
-                    // not kill the listener.
-                    Err(_) => std::thread::sleep(TICK),
-                }
-            }
-            for h in conns.into_inner().unwrap() {
-                let _ = h.join();
-            }
-        });
-        Ok(HttpServer {
-            addr,
-            stop,
-            accept: Some(accept),
-        })
+        let server = Server::start(Listener::Tcp(listener), Arc::new(Http(service)), options)?;
+        Ok(HttpServer { addr, server })
     }
 
     /// The actually-bound address (resolves port `0`).
@@ -144,172 +54,106 @@ impl HttpServer {
         self.addr
     }
 
-    /// Stops accepting, joins the accept loop and all handlers.
+    /// Stops accepting and waits for every handler.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
+        self.server.stop();
+        self.server.wait();
     }
 }
 
-impl Drop for HttpServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
+struct Http(Arc<Service>);
+
+fn response(status: &str, content_type: &str, extra_headers: &str, body: &str) -> String {
+    format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n\
+         Connection: close\r\n{extra_headers}\r\n{body}",
+        body.len()
+    )
 }
 
-/// Reads the request head (through the blank line), bounded by the
-/// byte cap and the idle deadline.
-fn read_request_head(stream: &mut TcpStream, options: &HttpOptions) -> Result<Vec<u8>, ConnClose> {
-    let deadline = Instant::now() + options.idle_timeout;
-    let mut head = Vec::new();
-    let mut chunk = [0u8; 1024];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(ConnClose::Disconnect),
-            Ok(n) => {
-                head.extend_from_slice(&chunk[..n]);
-                if head.len() > options.max_request_bytes {
-                    return Err(ConnClose::TooLarge);
-                }
-                if head.windows(4).any(|w| w == b"\r\n\r\n")
-                    || head.windows(2).any(|w| w == b"\n\n")
-                {
-                    return Ok(head);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
-            Err(_) => return Err(ConnClose::Disconnect),
-        }
-        if Instant::now() >= deadline {
-            return Err(ConnClose::IdleTimeout);
-        }
-    }
-}
-
-/// Parses `GET /path HTTP/1.x`, returning the path (query stripped).
-fn parse_request_line(head: &[u8]) -> Result<(String, String), ConnClose> {
-    let line_end = head
+/// Splits `GET /path?query HTTP/1.x` into the method and the path.
+fn parse_request_line(head: &[u8]) -> Option<(&str, &str)> {
+    let end = head
         .iter()
         .position(|&b| b == b'\r' || b == b'\n')
         .unwrap_or(head.len());
-    let line = std::str::from_utf8(&head[..line_end]).map_err(|_| ConnClose::BadRequest)?;
+    let line = std::str::from_utf8(&head[..end]).ok()?;
     let mut parts = line.split(' ').filter(|p| !p.is_empty());
-    let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return Err(ConnClose::BadRequest);
-    };
+    let (method, target, version) = (parts.next()?, parts.next()?, parts.next()?);
     if parts.next().is_some() || !version.starts_with("HTTP/1.") || !target.starts_with('/') {
-        return Err(ConnClose::BadRequest);
+        return None;
     }
-    let path = target.split('?').next().unwrap_or(target).to_owned();
-    Ok((method.to_owned(), path))
+    Some((method, target.split('?').next().unwrap_or(target)))
 }
 
-fn write_response(
-    stream: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    extra_headers: &str,
-    body: &str,
-) -> Result<(), ConnClose> {
-    let head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n{extra_headers}\r\n",
-        body.len()
-    );
-    stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body.as_bytes()))
-        .and_then(|()| stream.flush())
-        .map_err(|_| ConnClose::WriteError)
-}
+impl FrontEnd for Http {
+    fn request_len(&self, buf: &[u8]) -> Option<usize> {
+        (1..buf.len()).find_map(|i| match &buf[..=i] {
+            [.., b'\r', b'\n', b'\r', b'\n'] | [.., b'\n', b'\n'] => Some(i + 1),
+            _ => None,
+        })
+    }
 
-/// The Prometheus exposition content type the scrapers expect.
-pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
-
-/// Serves exactly one request on `stream` (`Connection: close`
-/// discipline), recording per-request latency telemetry. All errors
-/// are local to the connection.
-fn serve_connection(mut stream: TcpStream, service: &Service, options: &HttpOptions) -> ConnClose {
-    let telemetry = Arc::clone(service.telemetry());
-    telemetry.counter("icd.http.requests").inc();
-    let started = Instant::now();
-    let _ = stream.set_read_timeout(Some(TICK));
-    let _ = stream.set_nodelay(true);
-
-    let outcome = read_request_head(&mut stream, options).and_then(|head| {
-        let (method, path) = parse_request_line(&head)?;
-        if method != "GET" {
-            write_response(
-                &mut stream,
-                "405 Method Not Allowed",
-                "text/plain; charset=utf-8",
-                "Allow: GET\r\n",
-                "only GET is supported\n",
-            )?;
-            return Ok(());
-        }
-        match path.as_str() {
-            "/status" => write_response(
-                &mut stream,
-                "200 OK",
-                "application/json",
+    fn answer(&self, head: &[u8]) -> Reply {
+        let started = Instant::now();
+        let svc = &self.0;
+        svc.telemetry().counter("icd.http.requests").inc();
+        let request = parse_request_line(head);
+        let (status, content_type, allow, body) = match request {
+            None => (
+                "400 Bad Request",
+                TEXT,
                 "",
-                &service.status_json(),
+                "malformed request line\n".to_owned(),
             ),
-            "/metrics" => write_response(
-                &mut stream,
-                "200 OK",
-                METRICS_CONTENT_TYPE,
-                "",
-                &service.metrics_text(),
-            ),
-            "/profile" => write_response(
-                &mut stream,
-                "200 OK",
-                "application/json",
-                "",
-                &service.profile_json(),
-            ),
-            _ => write_response(
-                &mut stream,
-                "404 Not Found",
-                "text/plain; charset=utf-8",
-                "",
-                "unknown path; try /status, /metrics, /profile\n",
-            ),
-        }
-    });
-    let close = match outcome {
-        Ok(()) => ConnClose::Served,
-        Err(close) => {
-            // Best-effort error reply; the connection is dropped either
-            // way, and a peer that already vanished just ignores it.
-            let (status, body) = match close {
-                ConnClose::BadRequest => ("400 Bad Request", "malformed request line\n"),
-                ConnClose::TooLarge => (
-                    "431 Request Header Fields Too Large",
-                    "request head too large\n",
-                ),
-                ConnClose::IdleTimeout => {
-                    ("408 Request Timeout", "request not completed in time\n")
-                }
-                _ => ("400 Bad Request", "bad request\n"),
-            };
-            if !matches!(close, ConnClose::Disconnect | ConnClose::WriteError) {
-                let _ = write_response(&mut stream, status, "text/plain; charset=utf-8", "", body);
+            Some(("GET", "/status")) => ("200 OK", JSON, "", svc.status_json()),
+            Some(("GET", "/metrics")) => ("200 OK", METRICS_CONTENT_TYPE, "", svc.metrics_text()),
+            Some(("GET", "/profile")) => ("200 OK", JSON, "", svc.profile_json()),
+            Some(("GET", _)) => {
+                let body = "unknown path; try /status, /metrics, /profile\n";
+                ("404 Not Found", TEXT, "", body.to_owned())
             }
-            close
-        }
-    };
-    telemetry.record_wait("icd.http.latency", started.elapsed());
-    close
+            Some(_) => {
+                let body = "only GET is supported\n".to_owned();
+                ("405 Method Not Allowed", TEXT, "Allow: GET\r\n", body)
+            }
+        };
+        let close = match request {
+            None => ConnClose::BadRequest,
+            Some(_) => ConnClose::Served,
+        };
+        svc.telemetry()
+            .record_wait("icd.http.latency", started.elapsed());
+        Reply::Last(response(status, content_type, allow, &body), close)
+    }
+
+    fn farewell(&self, close: ConnClose) -> String {
+        let (status, body) = match close {
+            ConnClose::TooLarge => (
+                "431 Request Header Fields Too Large",
+                "request head too large\n",
+            ),
+            ConnClose::IdleTimeout => ("408 Request Timeout", "request not completed in time\n"),
+            ConnClose::Refused => ("503 Service Unavailable", "too many connections\n"),
+            _ => ("503 Service Unavailable", "shutting down\n"),
+        };
+        response(status, TEXT, "", body)
+    }
+
+    fn count(&self, event: &str) {
+        self.0
+            .telemetry()
+            .counter(&format!("icd.http.{event}"))
+            .inc();
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
     use std::sync::Arc;
+    use std::time::Duration;
 
     use instantcheck::Scheme;
 
@@ -354,7 +198,7 @@ mod tests {
             "x",
             CampaignSpec::new("nope", Scheme::HwInc),
         ));
-        let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&svc), HttpOptions::default())
+        let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&svc), ServerOptions::default())
             .expect("binds");
         let addr = server.local_addr();
 
@@ -383,9 +227,10 @@ mod tests {
     #[test]
     fn hostile_clients_cost_only_their_connection() {
         let svc = service();
-        let options = HttpOptions {
+        let options = ServerOptions {
             max_request_bytes: 512,
             idle_timeout: Duration::from_millis(200),
+            ..ServerOptions::default()
         };
         let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&svc), options).expect("binds");
         let addr = server.local_addr();
@@ -422,12 +267,12 @@ mod tests {
     fn shutdown_joins_and_frees_the_port() {
         let svc = service();
         let mut server =
-            HttpServer::bind("127.0.0.1:0", Arc::clone(&svc), HttpOptions::default()).unwrap();
+            HttpServer::bind("127.0.0.1:0", Arc::clone(&svc), ServerOptions::default()).unwrap();
         let addr = server.local_addr();
         assert!(get(addr, "/metrics").starts_with("HTTP/1.1 200"));
         server.shutdown();
         // The port is rebindable immediately after shutdown.
-        let again = HttpServer::bind(addr, svc, HttpOptions::default());
+        let again = HttpServer::bind(addr, svc, ServerOptions::default());
         assert!(again.is_ok(), "{:?}", again.err());
     }
 }

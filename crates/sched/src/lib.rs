@@ -26,6 +26,16 @@
 //!   `FailurePolicy`/`SimError::Deadline` machinery, and transient
 //!   deadline failures retry with exponential backoff.
 //!
+//! A share-safe [`Service`] wraps the orchestrator for concurrent
+//! clients, and one bounded connection [`Server`] carries every network
+//! front end: `icd`'s unix-socket line protocol and the read-only
+//! [`HttpServer`] telemetry plane each supply only a [`FrontEnd`] (how a
+//! request is framed and answered). The server owns accept, a handler
+//! thread per connection under [`MAX_CONNECTIONS`], the byte cap and
+//! idle timeout of [`ServerOptions`], the close reasons ([`ConnClose`])
+//! and their counters, and a drain that wakes every blocked read
+//! instead of polling.
+//!
 //! # Example
 //!
 //! ```
@@ -68,14 +78,16 @@
 mod http;
 mod orchestrator;
 mod queue;
+mod server;
 mod service;
 
-pub use http::{HttpOptions, HttpServer, METRICS_CONTENT_TYPE};
+pub use http::{HttpServer, METRICS_CONTENT_TYPE};
 pub use instantcheck::CampaignSpec;
 pub use orchestrator::{
     CampaignResult, CampaignStatus, Disposition, Orchestrator, OrchestratorConfig, ProgramSource,
     Resolver, ShedReason, Submission, TenantStats, DEFAULT_TENANT, QUEUE_DWELL_HISTOGRAM,
 };
+pub use server::{ConnClose, FrontEnd, Listener, Reply, Server, ServerOptions, MAX_CONNECTIONS};
 pub use service::Service;
 
 /// Queue priority: higher pops first; ties run in submission order.

@@ -19,8 +19,8 @@ use corpus::{Corpus, CorpusOptions};
 use instantcheck::{CampaignSpec, CheckReport, Checker, CheckerConfig, Scheme};
 use obs::MemorySink;
 use sched::{
-    CampaignStatus, Disposition, HttpOptions, HttpServer, Orchestrator, OrchestratorConfig,
-    ProgramSource, Resolver, Service, ShedReason, Submission,
+    CampaignStatus, Disposition, HttpServer, Orchestrator, OrchestratorConfig, ProgramSource,
+    Resolver, ServerOptions, Service, ShedReason, Submission,
 };
 
 fn tempdir(tag: &str) -> PathBuf {
@@ -226,8 +226,9 @@ fn live_scraping_telemetry_leaves_artifacts_byte_identical() {
             resolver(),
             Some(store),
         )));
-        let mut server = HttpServer::bind("127.0.0.1:0", Arc::clone(&svc), HttpOptions::default())
-            .expect("binds an ephemeral port");
+        let mut server =
+            HttpServer::bind("127.0.0.1:0", Arc::clone(&svc), ServerOptions::default())
+                .expect("binds an ephemeral port");
         let addr = server.local_addr();
 
         // The scraper hammers every endpoint until the drain is done.
